@@ -11,6 +11,7 @@ display columns for diffing against the printed references.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import sys
 from pathlib import Path
@@ -201,16 +202,16 @@ def cmd_qnormal(args) -> int:
         raise SystemExit("--y and --xi must be supplied together")
     if args.y is not None:
         items |= {"y": args.y, "xi": args.xi}
-        f = [qnormal.f_cqn(float(xx), args.y, args.xi, args.q) for xx in x]
+        f = qnormal.f_cqn(x, args.y, args.xi, args.q)
         columns = ["x", "f_cqn"]
     else:
-        f = [qnormal.f_qn(float(xx), args.q) for xx in x]
+        f = qnormal.f_qn(x, args.q)
         columns = ["x", "f_qn"]
     _write_csv(
         Path(args.out) if args.out else None,
         _meta_lines(items),
         columns,
-        zip(x.tolist(), f),
+        zip(x.tolist(), f.tolist()),
     )
     return 0
 
@@ -247,11 +248,8 @@ def _run_config(cfg: dict) -> ensemble.RunConfig:
     lo, hi, n = _parse_grid(cfg["grid"])
     return ensemble.RunConfig(
         N=cfg["N"], m=cfg["m"], t=cfg["t"], k=cfg["k"],
-        lam=cfg["lam"], xi_sq_target=cfg["xi_sq"],
-        members=cfg["members"], seed=cfg["seed"],
-        window_centers=cfg["windows"], window_width=cfg["window_width"],
         grid_lo=lo, grid_hi=hi, grid_bins=n,
-        workers=cfg["workers"], with_moments=cfg["moments"],
+        **{field: cfg[key] for key, field in _RUN_FIELDS.items()},
     )
 
 
@@ -262,10 +260,11 @@ def _strength_rows(rep: spectral.StrengthReport, qs: bca.QParameterSet):
     rows = []
     for i, center in enumerate(rep.window_centers):
         e0 = mom["e0_mean"][i]
-        have = np.isfinite(e0)
-        for j, x in enumerate(xc):
-            f_pred = qnormal.f_cqn(float(x), float(e0), qs.xi, qs.q_hv) if have else float("nan")
-            rows.append([center, e0, x, f_emp[i, j], f_pred])
+        if np.isfinite(e0):
+            f_pred = qnormal.f_cqn(xc, float(e0), qs.xi, qs.q_hv)
+        else:
+            f_pred = np.full(len(xc), np.nan)
+        rows.extend([center, e0, x, f, p] for x, f, p in zip(xc, f_emp[i], f_pred))
     return rows
 
 
@@ -368,12 +367,17 @@ def cmd_simulate(args) -> int:
 _PARAM_KEYS = ("N", "m", "t", "k", "lam", "xi_sq", "windows", "grid")
 _SIM_KEYS = _PARAM_KEYS + ("members", "seed", "window_width", "workers", "moments", "out")
 
-_DEFAULTS = {
-    "lam": None, "xi_sq": None,
-    "windows": ensemble.DEFAULT_WINDOW_CENTERS,
-    "grid": "-3.2:3.2:64",
-    "members": 100, "seed": 2024, "window_width": 0.1,
-    "workers": 1, "moments": False, "out": None,
+# CLI keys that map one-to-one onto RunConfig fields; RunConfig holds their
+# defaults, and its grid_lo/grid_hi/grid_bins defaults make up the grid's.
+_RUN_FIELDS = {
+    "lam": "lam", "xi_sq": "xi_sq_target", "windows": "window_centers",
+    "members": "members", "seed": "seed", "window_width": "window_width",
+    "workers": "workers", "moments": "with_moments",
+}
+_RUN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ensemble.RunConfig)}
+_DEFAULTS = {key: _RUN_DEFAULTS[field] for key, field in _RUN_FIELDS.items()} | {
+    "grid": "{grid_lo}:{grid_hi}:{grid_bins}".format(**_RUN_DEFAULTS),
+    "out": None,
 }
 
 _PARSERS = {

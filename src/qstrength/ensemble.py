@@ -25,8 +25,6 @@ from . import bca, fock, spectral
 
 __all__ = ["RunConfig", "EnsembleResult", "run_ensemble", "run_member", "run_checks"]
 
-DEFAULT_WINDOW_CENTERS = (-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -40,13 +38,12 @@ class RunConfig:
     xi_sq_target: float | None = None
     members: int = 100
     seed: int = 2024
-    window_centers: tuple[float, ...] = DEFAULT_WINDOW_CENTERS
+    window_centers: tuple[float, ...] = (-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0)
     window_width: float = 0.1
     grid_lo: float = -3.2
     grid_hi: float = 3.2
     grid_bins: int = 64
     workers: int = 1
-    with_strength: bool = True
     with_moments: bool = False
 
     def __post_init__(self) -> None:
@@ -85,8 +82,8 @@ class RunConfig:
 class EnsembleResult:
     config: RunConfig
     system: bca.SystemParams
-    strength: spectral.StrengthReport | None
-    chaos: spectral.ChaosMeasures | None
+    strength: spectral.StrengthReport
+    chaos: spectral.ChaosMeasures
     moments: spectral.BivariateMomentAccumulator | None
     failures: tuple[tuple[int, str], ...]
 
@@ -99,16 +96,10 @@ class EnsembleResult:
         c = self.config
         return bca.q_params_finite(c.N, c.m, c.t, c.k, self.xi_sq_finite)
 
-    @property
-    def qs_infinite(self) -> bca.QParameterSet:
-        c = self.config
-        p = self.system
-        return bca.q_params_infinite(c.m, c.t, c.k, bca.xi_infinite(p) ** 2)
-
 
 def _empty_partials(cfg: RunConfig):
-    strength = spectral.StrengthReport(cfg.windows(), cfg.edges()) if cfg.with_strength else None
-    chaos = spectral.ChaosMeasures(cfg.edges()) if cfg.with_strength else None
+    strength = spectral.StrengthReport(cfg.windows(), cfg.edges())
+    chaos = spectral.ChaosMeasures(cfg.edges())
     moments = spectral.BivariateMomentAccumulator() if cfg.with_moments else None
     return strength, chaos, moments
 
@@ -123,30 +114,25 @@ def run_member(cfg: RunConfig, member: int):
     basis_m = fock.build_basis(cfg.N, cfg.m)
     basis_t = fock.build_basis(cfg.N, cfg.t)
     basis_k = fock.build_basis(cfg.N, cfg.k)
-    h0 = fock.embed_k_body(
-        fock.sample_goe(basis_t.dim, cfg.seed, member, stream=0).matrix, basis_m, basis_t
-    )
-    v = fock.embed_k_body(
-        fock.sample_goe(basis_k.dim, cfg.seed, member, stream=1).matrix, basis_m, basis_k
-    )
-    h = fock.compose_hamiltonian(h0, v, lam)
+    h0 = fock.embed_k_body(fock.sample_goe(basis_t.dim, cfg.seed, member, 0), basis_m, basis_t)
+    v = fock.embed_k_body(fock.sample_goe(basis_k.dim, cfg.seed, member, 1), basis_m, basis_k)
+    h = h0 + lam * v
     strength, chaos, moments = _empty_partials(cfg)
     try:
-        if cfg.with_strength:
-            w0, u0 = spectral.diagonalize(h0)
-            if lam == 0.0:
-                # H and H0 are the same matrix, so each eigenstate overlaps
-                # only itself; use the exact identity rather than re-squaring
-                # rounded eigenvectors.
-                e0 = e1 = spectral.standardize(w0).e_hat
-                wsq = np.eye(basis_m.dim)
-            else:
-                w1, u1 = spectral.diagonalize(h)
-                wsq = spectral.overlaps(u0, u1)
-                e0 = spectral.standardize(w0).e_hat
-                e1 = spectral.standardize(w1).e_hat
-            strength.add_member(e0, e1, wsq)
-            chaos.add_member(e1, wsq)
+        w0, u0 = spectral.diagonalize(h0)
+        if lam == 0.0:
+            # H and H0 are the same matrix, so each eigenstate overlaps only
+            # itself; use the exact identity rather than re-squaring rounded
+            # eigenvectors.
+            e0 = e1 = spectral.standardize(w0)
+            wsq = np.eye(basis_m.dim)
+        else:
+            w1, u1 = spectral.diagonalize(h)
+            wsq = spectral.overlaps(u0, u1)
+            e0 = spectral.standardize(w0)
+            e1 = spectral.standardize(w1)
+        strength.add_member(e0, e1, wsq)
+        chaos.add_member(e1, wsq)
         if cfg.with_moments:
             moments.add_member(h0, h)
     except (np.linalg.LinAlgError, spectral.DiagonalizationError, ValueError) as exc:
@@ -160,12 +146,11 @@ def _task(args):
 
 def run_ensemble(cfg: RunConfig) -> EnsembleResult:
     """Run all members and reduce their partials in member order."""
-    # Build plan caches up front so forked workers inherit them.
-    basis_m = fock.build_basis(cfg.N, cfg.m)
-    for rank in {cfg.t, cfg.k}:
-        fock.embed_k_body(
-            np.zeros((fock.build_basis(cfg.N, rank).dim,) * 2), basis_m, fock.build_basis(cfg.N, rank)
-        )
+    # Check the basis size and build the embedding plans up front so forked
+    # workers inherit them.
+    fock.build_basis(cfg.N, cfg.m)
+    for rank in (cfg.t, cfg.k):
+        fock.embedding_plan(cfg.N, cfg.m, rank)
     tasks = [(cfg, member) for member in range(cfg.members)]
     strength, chaos, moments = _empty_partials(cfg)
     failures: list[tuple[int, str]] = []
@@ -176,10 +161,8 @@ def run_ensemble(cfg: RunConfig) -> EnsembleResult:
             if err is not None:
                 failures.append((member, err))
                 continue
-            if ps is not None:
-                strength = strength.merge(ps)
-            if pc is not None:
-                chaos = chaos.merge(pc)
+            strength = strength.merge(ps)
+            chaos = chaos.merge(pc)
             if pm is not None:
                 moments = moments.merge(pm)
 
@@ -207,11 +190,10 @@ def run_checks(result: EnsembleResult) -> list[tuple[str, bool, str]]:
         )
     )
     rep = result.strength
-    if rep is None or result.system.lam == 0.0:
-        if result.chaos is not None and result.system.lam == 0.0:
-            npc = result.chaos.npc()
-            good = np.nanmax(np.abs(npc - 1.0)) == 0.0 and np.nanmax(result.chaos.s_info()) == 0.0
-            checks.append(("uncoupled-npc-unity", bool(good), "NPC=1, S_info=0 required at lam=0"))
+    if result.system.lam == 0.0:
+        npc = result.chaos.npc()
+        good = np.nanmax(np.abs(npc - 1.0)) == 0.0 and np.nanmax(result.chaos.s_info()) == 0.0
+        checks.append(("uncoupled-npc-unity", bool(good), "NPC=1, S_info=0 required at lam=0"))
         return checks
     qs = result.qs_finite
     cfg = result.config

@@ -12,8 +12,9 @@ in crossing order.
 
 Embedding all pairs naively is slow, so the decomposition is precomputed once
 per (n_orb, m, r) as flat index/sign arrays ("plan"); embedding a particular
-coefficient matrix is then a single weighted bincount.  Plans are cached on the
-module, keyed by shape, and reused across ensemble members.
+coefficient matrix is then a single weighted bincount.  Bases and plans are
+made once per shape (functools.lru_cache), returned read-only, and shared by
+every ensemble member.
 
 Defining matrices are drawn from the Gaussian orthogonal ensemble with
 off-diagonal variance 1 and diagonal variance 2, deterministically seeded per
@@ -26,18 +27,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
 __all__ = [
     "FockBasis",
-    "GoeSample",
     "build_basis",
-    "boson_dim",
     "sample_goe",
+    "embedding_plan",
     "embed_k_body",
-    "compose_hamiltonian",
-    "clear_plan_cache",
 ]
 
 BASIS_DIM_CAP = 200_000
@@ -51,33 +51,11 @@ class FockBasis:
     n_orb: int
     n_part: int
     states: np.ndarray = field(repr=False)
-    index: dict = field(repr=False)
+    index: MappingProxyType = field(repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.states)
-
-
-@dataclass(frozen=True)
-class GoeSample:
-    """A GOE draw plus the seed coordinates that reproduce it."""
-
-    matrix: np.ndarray = field(repr=False)
-    dim: int
-    master_seed: int
-    member: int
-    stream: int = 0
-
-    @property
-    def seed_tag(self) -> tuple[int, int]:
-        return (self.master_seed, self.member)
-
-
-def boson_dim(n_orb: int, n_part: int) -> int:
-    """Dimension binom(n_orb + n_part - 1, n_part) of the symmetric counterpart."""
-    if n_orb < 1 or n_part < 0:
-        raise ValueError("need n_orb >= 1 and n_part >= 0")
-    return math.comb(n_orb + n_part - 1, n_part)
 
 
 def build_basis(n_orb: int, n_part: int, cap: int = BASIS_DIM_CAP) -> FockBasis:
@@ -89,14 +67,21 @@ def build_basis(n_orb: int, n_part: int, cap: int = BASIS_DIM_CAP) -> FockBasis:
     dim = math.comb(n_orb, n_part)
     if dim > cap:
         raise ValueError(f"basis dimension {dim} exceeds cap {cap}")
+    return _basis(n_orb, n_part)
+
+
+@lru_cache(maxsize=32)
+def _basis(n_orb: int, n_part: int) -> FockBasis:
     masks = sorted(
         sum(1 << o for o in occ) for occ in itertools.combinations(range(n_orb), n_part)
     )
     states = np.array(masks, dtype=np.uint64)
-    return FockBasis(n_orb, n_part, states, {mk: i for i, mk in enumerate(masks)})
+    states.flags.writeable = False
+    index = MappingProxyType({mk: i for i, mk in enumerate(masks)})
+    return FockBasis(n_orb, n_part, states, index)
 
 
-def sample_goe(dim: int, master_seed: int, member: int, stream: int = 0) -> GoeSample:
+def sample_goe(dim: int, master_seed: int, member: int, stream: int = 0) -> np.ndarray:
     """Symmetric GOE matrix: off-diagonal variance 1, diagonal variance 2.
 
     The generator is seeded by (master_seed, member, stream), so any member of
@@ -106,7 +91,7 @@ def sample_goe(dim: int, master_seed: int, member: int, stream: int = 0) -> GoeS
         raise ValueError("dim must be >= 1")
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(member, stream))
     a = np.random.default_rng(ss).standard_normal((dim, dim))
-    return GoeSample((a + a.T) / math.sqrt(2.0), dim, master_seed, member, stream)
+    return (a + a.T) / math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -122,13 +107,6 @@ class _EmbeddingPlan:
     dim: int
 
 
-_PLAN_CACHE: dict[tuple[int, int, int], _EmbeddingPlan] = {}
-
-
-def clear_plan_cache() -> None:
-    _PLAN_CACHE.clear()
-
-
 def _crossing_parity(active: tuple[int, ...], spectator_mask: int) -> int:
     """Parity of annihilating the active orbitals (ascending) out of the union."""
     par = 0
@@ -137,8 +115,10 @@ def _crossing_parity(active: tuple[int, ...], spectator_mask: int) -> int:
     return par
 
 
-def _build_plan(basis_m: FockBasis, basis_r: FockBasis) -> _EmbeddingPlan:
-    n_orb, m, r = basis_m.n_orb, basis_m.n_part, basis_r.n_part
+@lru_cache(maxsize=8)
+def embedding_plan(n_orb: int, m: int, r: int) -> _EmbeddingPlan:
+    """Read-only decomposition of every rank-r embedding into the m-particle basis."""
+    basis_m, basis_r = _basis(n_orb, m), _basis(n_orb, r)
     d = basis_m.dim
     idx_m, idx_r = basis_m.index, basis_r.index
     flats, signs, rows, cols = [], [], [], []
@@ -159,21 +139,10 @@ def _build_plan(basis_m: FockBasis, basis_r: FockBasis) -> _EmbeddingPlan:
         signs.append((sv[:, None] * sv[None, :]).ravel())
         rows.append(np.repeat(act, n))
         cols.append(np.tile(act, n))
-    return _EmbeddingPlan(
-        np.concatenate(flats),
-        np.concatenate(signs),
-        np.concatenate(rows),
-        np.concatenate(cols),
-        d,
-    )
-
-
-def _plan_for(basis_m: FockBasis, basis_r: FockBasis) -> _EmbeddingPlan:
-    key = (basis_m.n_orb, basis_m.n_part, basis_r.n_part)
-    plan = _PLAN_CACHE.get(key)
-    if plan is None:
-        plan = _PLAN_CACHE[key] = _build_plan(basis_m, basis_r)
-    return plan
+    parts = [np.concatenate(a) for a in (flats, signs, rows, cols)]
+    for a in parts:
+        a.flags.writeable = False
+    return _EmbeddingPlan(*parts, d)
 
 
 def embed_k_body(coeffs: np.ndarray, basis_m: FockBasis, basis_r: FockBasis) -> np.ndarray:
@@ -189,16 +158,10 @@ def embed_k_body(coeffs: np.ndarray, basis_m: FockBasis, basis_r: FockBasis) -> 
         raise ValueError("operator rank must not exceed the particle number")
     if coeffs.shape != (basis_r.dim, basis_r.dim):
         raise ValueError(f"coefficient matrix must be {basis_r.dim} x {basis_r.dim}")
-    plan = _plan_for(basis_m, basis_r)
+    plan = embedding_plan(basis_m.n_orb, basis_m.n_part, basis_r.n_part)
     vals = plan.sign * coeffs[plan.row_a, plan.col_b]
     out = np.bincount(plan.flat, weights=vals, minlength=plan.dim**2).reshape(
         plan.dim, plan.dim
     )
     return 0.5 * (out + out.T)
 
-
-def compose_hamiltonian(h0: np.ndarray, v: np.ndarray, lam: float) -> np.ndarray:
-    """H = H0 + lam * V on the common m-particle basis."""
-    if h0.shape != v.shape:
-        raise ValueError("operators live on different bases")
-    return h0 + lam * v

@@ -63,7 +63,7 @@ def _interaction_density_mu40(k: int, seed: int, members: int = 200) -> float:
     acc = spectral.BivariateMomentAccumulator()
     for member in range(members):
         g = fock.sample_goe(basis_k.dim, seed, member, 0)
-        v = fock.embed_k_body(g.matrix, basis_m, basis_k)
+        v = fock.embed_k_body(g, basis_m, basis_k)
         acc.add_member(v, v)
     return acc.finalize().mu40
 

@@ -3,6 +3,9 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -267,3 +270,32 @@ class TestSimulate:
         vals = [float(r[fi]) for r in rows]
         assert all(math.isfinite(v) for v in vals)
         assert any(v > 0 for v in vals)
+
+    def test_default_config_hash_is_pinned(self, tmp_path):
+        # every default a simulate run does not override enters the hash; this
+        # value was emitted before the CLI took its defaults from RunConfig
+        code, _, _ = run_cli(["simulate", "--N", "8", "--m", "4", "--t", "1", "--k", "2",
+                              "--xi-sq", "0.5", "--out", str(tmp_path)])
+        assert code == 0
+        meta, _, _ = read_csv(tmp_path / "params.csv")
+        assert meta[1] == (
+            "# config_hash sha256="
+            "cad2b22deef6081e3d5508cfad9c1886dffca68cc4ba79494ceda67eb0d9d4a7"
+        )
+
+
+def test_npc_and_simulate_do_not_import_scipy(tmp_path):
+    script = (
+        "import sys\n"
+        "from qstrength import cli\n"
+        "flags = ['--N', '8', '--m', '4', '--t', '1', '--k', '2', '--xi-sq', '0.5']\n"
+        f"assert cli.main(['npc', *flags, '--out', {str(tmp_path / 'npc.csv')!r}]) == 0\n"
+        "assert cli.main(['simulate', *flags, '--members', '2',"
+        f" '--out', {str(tmp_path / 'sim')!r}]) == 0\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = os.environ | {"PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

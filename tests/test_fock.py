@@ -13,14 +13,7 @@ import numpy as np
 import pytest
 
 from qstrength import bca, fock
-from qstrength.fock import (
-    boson_dim,
-    build_basis,
-    clear_plan_cache,
-    compose_hamiltonian,
-    embed_k_body,
-    sample_goe,
-)
+from qstrength.fock import build_basis, embed_k_body, embedding_plan, sample_goe
 
 
 def annihilators(n_orb: int) -> list[np.ndarray]:
@@ -122,7 +115,7 @@ def test_selection_rule():
 def test_embedding_output_is_symmetric():
     basis_m = build_basis(10, 5)
     basis_2 = build_basis(10, 2)
-    g = sample_goe(basis_2.dim, 17, 0).matrix
+    g = sample_goe(basis_2.dim, 17, 0)
     v = embed_k_body(g, basis_m, basis_2)
     np.testing.assert_array_equal(v, v.T)
 
@@ -143,30 +136,22 @@ def test_basis_cap_enforced():
         build_basis(70, 2)
 
 
-def test_boson_dim():
-    assert boson_dim(12, 6) == math.comb(17, 6)
-    assert boson_dim(3, 0) == 1
-    with pytest.raises(ValueError):
-        boson_dim(0, 3)
-
-
 def test_goe_seeding_reproducible_and_streams_independent():
     a = sample_goe(50, 123, 7, stream=0)
     b = sample_goe(50, 123, 7, stream=0)
-    np.testing.assert_array_equal(a.matrix, b.matrix)
-    assert a.seed_tag == (123, 7)
+    np.testing.assert_array_equal(a, b)
     c = sample_goe(50, 123, 7, stream=1)
     d = sample_goe(50, 123, 8, stream=0)
-    assert not np.array_equal(a.matrix, c.matrix)
-    assert not np.array_equal(a.matrix, d.matrix)
-    np.testing.assert_array_equal(a.matrix, a.matrix.T)
+    assert not np.array_equal(a, c)
+    assert not np.array_equal(a, d)
+    np.testing.assert_array_equal(a, a.T)
 
 
 def test_goe_variance_profile():
     # aggregate over members: off-diagonal variance 1, diagonal variance 2
     offs, diags = [], []
     for member in range(40):
-        g = sample_goe(60, 99, member).matrix
+        g = sample_goe(60, 99, member)
         offs.append(g[np.triu_indices(60, k=1)])
         diags.append(np.diag(g))
     off = np.concatenate(offs)
@@ -183,7 +168,7 @@ def test_embedded_second_moment_matches_exact_ensemble_average():
     members = 60
     total = 0.0
     for member in range(members):
-        v = embed_k_body(sample_goe(basis_2.dim, 4321, member).matrix, basis_m, basis_2)
+        v = embed_k_body(sample_goe(basis_2.dim, 4321, member), basis_m, basis_2)
         total += np.trace(v @ v) / basis_m.dim
     got = total / members
     want = bca.trace_variance(10, 5, 2)
@@ -196,19 +181,12 @@ def test_centered_width_matches_centered_trace_variance():
     members = 60
     total = 0.0
     for member in range(members):
-        v = embed_k_body(sample_goe(basis_2.dim, 999, member).matrix, basis_m, basis_2)
+        v = embed_k_body(sample_goe(basis_2.dim, 999, member), basis_m, basis_2)
         e = np.linalg.eigvalsh(v)
         total += e.var()
     got = total / members
     want = bca.centered_trace_variance(10, 5, 2)
     assert got == pytest.approx(want, rel=0.05)
-
-
-def test_compose_hamiltonian():
-    h0 = np.diag([1.0, 2.0])
-    v = np.array([[0.0, 1.0], [1.0, 0.0]])
-    np.testing.assert_array_equal(compose_hamiltonian(h0, v, 0.5), h0 + 0.5 * v)
-    np.testing.assert_array_equal(compose_hamiltonian(h0, v, 0.0), h0)
 
 
 def test_embedding_rejects_mismatched_inputs():
@@ -222,10 +200,11 @@ def test_embedding_rejects_mismatched_inputs():
         embed_k_body(np.zeros((math.comb(8, 5),) * 2), build_basis(8, 4), build_basis(8, 5))
 
 
-def test_plan_cache_cleared():
-    basis_m = build_basis(6, 3)
-    basis_2 = build_basis(6, 2)
-    embed_k_body(np.eye(basis_2.dim), basis_m, basis_2)
-    clear_plan_cache()
-    got = embed_k_body(np.eye(basis_2.dim), basis_m, basis_2)
-    np.testing.assert_array_equal(got, 3.0 * np.eye(20))
+def test_bases_and_plans_are_shared_and_read_only():
+    basis = build_basis(6, 3)
+    assert build_basis(6, 3) is basis
+    assert embedding_plan(6, 3, 2) is embedding_plan(6, 3, 2)
+    with pytest.raises(ValueError):
+        basis.states[0] = 0
+    with pytest.raises(ValueError):
+        embedding_plan(6, 3, 2).sign[0] = 0

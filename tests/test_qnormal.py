@@ -144,6 +144,14 @@ def test_conditional_reduces_to_marginal_at_zero_coupling():
         assert f_cqn(x, 1.0, 0.0, 0.6) == pytest.approx(f_qn(x, 0.6), rel=1e-14)
 
 
+@pytest.mark.parametrize("q", [0.0, 0.3, 0.536, 0.9])
+def test_grid_evaluation_equals_pointwise_calls(q):
+    # the CLI evaluates whole grids at once; each point must keep its bits
+    x = np.linspace(-5.0, 5.0, 1025)
+    np.testing.assert_array_equal(f_qn(x, q), [f_qn(xx, q) for xx in x])
+    np.testing.assert_array_equal(f_cqn(x, -1.3, 0.3, q), [f_cqn(xx, -1.3, 0.3, q) for xx in x])
+
+
 def test_conditional_rejects_y_outside_support():
     with pytest.raises(ValueError):
         f_cqn(0.0, 2.5, 0.5, 0.0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qstrength import bca
+from qstrength.qnormal import QuadratureError, f_cqn, f_qn, support
 from qstrength.spectral import (
     BivariateMomentAccumulator,
     ChaosMeasures,
@@ -82,16 +83,14 @@ class TestOverlaps:
 
 class TestStandardize:
     def test_three_point_spectrum(self):
-        s = standardize(np.array([-1.0, 0.0, 1.0]))
-        assert s.centroid == 0.0
-        assert s.width == pytest.approx(math.sqrt(2 / 3), rel=1e-15)
-        np.testing.assert_allclose(s.e_hat, [-math.sqrt(1.5), 0.0, math.sqrt(1.5)], atol=1e-15)
+        e_hat = standardize(np.array([-1.0, 0.0, 1.0]))
+        np.testing.assert_allclose(e_hat, [-math.sqrt(1.5), 0.0, math.sqrt(1.5)], atol=1e-15)
 
     def test_output_is_standardized(self):
         rng = np.random.default_rng(3)
-        s = standardize(rng.normal(5.0, 3.0, size=1000))
-        assert s.e_hat.mean() == pytest.approx(0.0, abs=1e-12)
-        assert s.e_hat.std() == pytest.approx(1.0, rel=1e-12)
+        e_hat = standardize(rng.normal(5.0, 3.0, size=1000))
+        assert e_hat.mean() == pytest.approx(0.0, abs=1e-12)
+        assert e_hat.std() == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_width_rejected(self):
         with pytest.raises(ValueError, match="zero width"):
@@ -109,8 +108,8 @@ def _toy_member(seed):
     """Random standardized spectra plus a doubly-stochastic overlap matrix."""
     rng = np.random.default_rng(seed)
     n = 24
-    e0 = standardize(rng.standard_normal(n)).e_hat
-    e1 = standardize(rng.standard_normal(n)).e_hat
+    e0 = standardize(rng.standard_normal(n))
+    e1 = standardize(rng.standard_normal(n))
     a = rng.standard_normal((n, n))
     _, u0 = diagonalize(a + a.T)
     b = rng.standard_normal((n, n))
@@ -299,6 +298,54 @@ class TestNpcIntegral:
     def test_out_of_support_is_nan(self):
         val = npc_integral(np.array([100.0]), self.qs, 924)
         assert math.isnan(val[0])
+
+
+def npc_by_adaptive_quad(x, qs, dim):
+    """The NPC curve with scipy's adaptive quad of the same integrand, one x at a time."""
+    from scipy.integrate import quad
+
+    lim = support(min(qs.q_h, qs.q_H, qs.q_hv)).hi
+    out = np.full(len(x), np.nan)
+    for i, xx in enumerate(x):
+        if not (support(qs.q_H).contains(xx) and support(qs.q_hv).contains(xx)):
+            continue
+        fx = f_qn(xx, qs.q_H)
+        if fx < 1e-12:
+            continue
+        val, _ = quad(lambda y: f_qn(y, qs.q_h) * f_cqn(xx, y, qs.xi, qs.q_hv) ** 2,
+                      -lim, lim, epsabs=0.0, epsrel=1e-12, limit=300)
+        out[i] = (dim / 3.0) / (val / fx**2)
+    return out
+
+
+NPC_X = np.array([-3.2, -2.8, -2.0, -1.0, 0.0, 0.5, 1.5, 2.4, 2.8, 3.1])
+NPC_CASES = {
+    f"{N}-{m}-{t}-{k}-xi_sq{xi_sq}": (bca.q_params_finite(N, m, t, k, xi_sq), math.comb(N, m))
+    for (N, m, t, k), xi_sq in [
+        *[(system, 0.5) for system in ((12, 6, 1, 2), (12, 6, 1, 4), (12, 6, 1, 6), (20, 8, 1, 2),
+                                       (50, 10, 1, 2), (50, 10, 1, 4), (24, 8, 2, 3))],
+        ((12, 6, 1, 2), 0.1),
+        ((12, 6, 1, 2), 0.9),
+        ((12, 6, 1, 2), 0.99),
+    ]
+}
+# q = 1 has an infinite support, which the theta rule cuts at |y| = 40
+NPC_CASES["gaussian-limit"] = (bca.QParameterSet(1.0, 1.0, 1.0, 1.0, 0.5), 924)
+
+
+@pytest.mark.parametrize("qs, dim", NPC_CASES.values(), ids=NPC_CASES.keys())
+def test_npc_integral_matches_adaptive_quadrature(qs, dim):
+    got = npc_integral(NPC_X, qs, dim)
+    want = npc_by_adaptive_quad(NPC_X, qs, dim)
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    assert np.any(np.isfinite(want))
+    np.testing.assert_allclose(got, want, rtol=1e-8)
+
+
+def test_npc_integral_raises_when_panels_do_not_converge():
+    qs = bca.q_params_finite(12, 6, 1, 2, 0.999)
+    with pytest.raises(QuadratureError):
+        npc_integral(np.linspace(-3.2, 3.2, 64), qs, 924)
 
 
 # ---------------------------------------------------------------------------
