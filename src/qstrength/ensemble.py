@@ -1,12 +1,22 @@
 """Monte-Carlo ensemble runner for the two-scale random Hamiltonian.
 
 Each member draws independent GOE matrices for the rank-t mean field (stream 0)
-and the rank-k interaction (stream 1), embeds both into the m-particle
-determinant space, and builds H = H0 + lam * V.  Members are completely
-determined by (master seed, member index), so any subset can be recomputed
-anywhere; worker processes only change where a member is computed, never its
-result.  Partial accumulators come back to the parent and are merged in member
-order, which makes the final numbers byte-identical for any worker count.
+and the rank-k interaction (stream 1) and works in the eigenbasis of the
+embedded mean field H0, where the unperturbed states |kappa> are unit vectors:
+
+* t = 1: H0 is a one-body operator, so its eigenstates are determinants in the
+  orbitals that diagonalize the N x N defining matrix h = O diag(eps) O^T, with
+  energies E0 = occupations @ eps.  The interaction coefficients rotate by the
+  k-th compound matrix, v' = C_k(O)^T v C_k(O), and are embedded once.
+* t >= 2: the embedded H0 is diagonalized, H0 = U0 diag(E0) U0^T, and the
+  embedded interaction is rotated, V' = U0^T V U0.
+
+Either way H = diag(E0) + lam * V' is diagonalized once, and its eigenvectors u
+give the strength W = u * u directly.  Members are completely determined by
+(master seed, member index), so any subset can be recomputed anywhere; worker
+processes only change where a member is computed, never its result.  Partial
+accumulators come back to the parent and are merged in member order, which
+makes the final numbers byte-identical for any worker count.
 
 The runner produces three mergeable products: a StrengthReport (overlap rows
 selected by windows on the standardized H0 spectrum), ChaosMeasures (NPC and
@@ -18,12 +28,21 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import bca, fock, spectral
 
-__all__ = ["RunConfig", "EnsembleResult", "run_ensemble", "run_member", "run_checks"]
+__all__ = [
+    "RunConfig",
+    "EnsembleResult",
+    "MemberSpectra",
+    "member_spectra",
+    "run_ensemble",
+    "run_member",
+    "run_checks",
+]
 
 
 @dataclass(frozen=True)
@@ -104,37 +123,55 @@ def _empty_partials(cfg: RunConfig):
     return strength, chaos, moments
 
 
+class MemberSpectra(NamedTuple):
+    """One member in the H0 eigenbasis; rows of overlap_sq follow e0's order."""
+
+    e0: np.ndarray  # H0 eigenvalues, one per unperturbed state kappa
+    e: np.ndarray  # ascending H eigenvalues
+    overlap_sq: np.ndarray  # W[kappa, E] = |<kappa|E>|^2
+    h: np.ndarray  # H = diag(e0) + lam * V' in the same basis
+
+
+def member_spectra(cfg: RunConfig, member: int) -> MemberSpectra:
+    """Build one member's H in the H0 eigenbasis and diagonalize it once.
+
+    Raises LinAlgError, DiagonalizationError or ValueError when an
+    eigensolve or the doubly stochastic check fails.
+    """
+    basis_m = fock.build_basis(cfg.N, cfg.m)
+    basis_t = fock.build_basis(cfg.N, cfg.t)
+    basis_k = fock.build_basis(cfg.N, cfg.k)
+    g0 = fock.sample_goe(basis_t.dim, cfg.seed, member, 0)
+    g1 = fock.sample_goe(basis_k.dim, cfg.seed, member, 1)
+    if cfg.t == 1:
+        eps, orb = np.linalg.eigh(g0)
+        e0 = basis_m.occupations @ eps
+        c = fock.compound_matrix(orb, cfg.k)
+        h = fock.embed_k_body(c.T @ g1 @ c, basis_m, basis_k)
+    else:
+        e0, u0 = spectral.diagonalize(fock.embed_k_body(g0, basis_m, basis_t))
+        h = u0.T @ fock.embed_k_body(g1, basis_m, basis_k) @ u0
+    h *= cfg.resolved_lam()
+    h.flat[:: basis_m.dim + 1] += e0
+    e, u = spectral.diagonalize(h)
+    return MemberSpectra(e0, e, spectral.overlaps(u), h)
+
+
 def run_member(cfg: RunConfig, member: int):
     """Compute one member's partial accumulators (member_count = 1 each).
 
     Returns (strength, chaos, moments, error); a diagonalization failure gives
     (None, None, None, message) and the member is skipped by the reducer.
     """
-    lam = cfg.resolved_lam()
-    basis_m = fock.build_basis(cfg.N, cfg.m)
-    basis_t = fock.build_basis(cfg.N, cfg.t)
-    basis_k = fock.build_basis(cfg.N, cfg.k)
-    h0 = fock.embed_k_body(fock.sample_goe(basis_t.dim, cfg.seed, member, 0), basis_m, basis_t)
-    v = fock.embed_k_body(fock.sample_goe(basis_k.dim, cfg.seed, member, 1), basis_m, basis_k)
-    h = h0 + lam * v
     strength, chaos, moments = _empty_partials(cfg)
     try:
-        w0, u0 = spectral.diagonalize(h0)
-        if lam == 0.0:
-            # H and H0 are the same matrix, so each eigenstate overlaps only
-            # itself; use the exact identity rather than re-squaring rounded
-            # eigenvectors.
-            e0 = e1 = spectral.standardize(w0)
-            wsq = np.eye(basis_m.dim)
-        else:
-            w1, u1 = spectral.diagonalize(h)
-            wsq = spectral.overlaps(u0, u1)
-            e0 = spectral.standardize(w0)
-            e1 = spectral.standardize(w1)
-        strength.add_member(e0, e1, wsq)
-        chaos.add_member(e1, wsq)
+        spec = member_spectra(cfg, member)
+        e0 = spectral.standardize(spec.e0)
+        e1 = spectral.standardize(spec.e)
+        strength.add_member(e0, e1, spec.overlap_sq)
+        chaos.add_member(e1, spec.overlap_sq)
         if cfg.with_moments:
-            moments.add_member(h0, h)
+            moments.add_member(np.diag(spec.e0), spec.h)
     except (np.linalg.LinAlgError, spectral.DiagonalizationError, ValueError) as exc:
         return None, None, None, f"member {member}: {exc}"
     return strength, chaos, moments, None
@@ -146,11 +183,15 @@ def _task(args):
 
 def run_ensemble(cfg: RunConfig) -> EnsembleResult:
     """Run all members and reduce their partials in member order."""
-    # Check the basis size and build the embedding plans up front so forked
-    # workers inherit them.
+    # Check the basis size and build the embedding and compound tables up
+    # front so forked workers inherit them.
     fock.build_basis(cfg.N, cfg.m)
-    for rank in (cfg.t, cfg.k):
-        fock.embedding_plan(cfg.N, cfg.m, rank)
+    fock.embedding_plan(cfg.N, cfg.m, cfg.k)
+    if cfg.t == 1:
+        for rank in range(2, cfg.k + 1):
+            fock.compound_plan(cfg.N, rank)
+    else:
+        fock.embedding_plan(cfg.N, cfg.m, cfg.t)
     tasks = [(cfg, member) for member in range(cfg.members)]
     strength, chaos, moments = _empty_partials(cfg)
     failures: list[tuple[int, str]] = []

@@ -16,6 +16,13 @@ coefficient matrix is then a single weighted bincount.  Bases and plans are
 made once per shape (functools.lru_cache), returned read-only, and shared by
 every ensemble member.
 
+An orthogonal change of orbitals, new orbital j = sum_i O[i, j] (old orbital
+i), acts on rank-r determinants through the r-th compound matrix
+C_r(O)[I, J] = det O[I, J] (Cauchy-Binet), so a rank-r coefficient matrix w
+becomes C_r(O)^T w C_r(O) in the rotated orbitals.  compound_matrix builds it
+by first-row Laplace expansion from C_{r-1}, with per-(n_orb, r) index tables
+cached like the embedding plans.
+
 Defining matrices are drawn from the Gaussian orthogonal ensemble with
 off-diagonal variance 1 and diagonal variance 2, deterministically seeded per
 (master seed, member index, operator stream) so that ensembles are reproducible
@@ -38,6 +45,8 @@ __all__ = [
     "sample_goe",
     "embedding_plan",
     "embed_k_body",
+    "compound_plan",
+    "compound_matrix",
 ]
 
 BASIS_DIM_CAP = 200_000
@@ -56,6 +65,12 @@ class FockBasis:
     @property
     def dim(self) -> int:
         return len(self.states)
+
+    @property
+    def occupations(self) -> np.ndarray:
+        """(dim, n_orb) 0/1 array: [mu, o] is the occupation of orbital o in state mu."""
+        bits = np.arange(self.n_orb, dtype=np.uint64)
+        return ((self.states[:, None] >> bits) & np.uint64(1)).astype(float)
 
 
 def build_basis(n_orb: int, n_part: int, cap: int = BASIS_DIM_CAP) -> FockBasis:
@@ -165,3 +180,56 @@ def embed_k_body(coeffs: np.ndarray, basis_m: FockBasis, basis_r: FockBasis) -> 
     )
     return 0.5 * (out + out.T)
 
+
+# ---------------------------------------------------------------------------
+# compound matrices
+
+
+@dataclass(frozen=True)
+class _CompoundPlan:
+    orbs: np.ndarray  # (D, r): ascending orbitals of each rank-r determinant
+    minors: np.ndarray  # (D, r): rank-(r-1) index of the determinant without orbs[:, p]
+
+
+@lru_cache(maxsize=16)
+def compound_plan(n_orb: int, r: int) -> _CompoundPlan:
+    """Read-only index tables for the Laplace step C_{r-1} -> C_r over n_orb orbitals."""
+    if not 2 <= r <= n_orb:
+        raise ValueError(f"need 2 <= r <= n_orb, got {r}, {n_orb}")
+    basis_r, idx_s = _basis(n_orb, r), _basis(n_orb, r - 1).index
+    orbs = [[o for o in range(n_orb) if mk >> o & 1] for mk in basis_r.states.tolist()]
+    minors = [
+        [idx_s[mk ^ (1 << o)] for o in row] for mk, row in zip(basis_r.states.tolist(), orbs)
+    ]
+    parts = (np.asarray(orbs, dtype=np.intp), np.asarray(minors, dtype=np.intp))
+    for a in parts:
+        a.flags.writeable = False
+    return _CompoundPlan(*parts)
+
+
+def compound_matrix(o: np.ndarray, r: int) -> np.ndarray:
+    """r-th compound C_r(O)[I, J] = det O[I, J] over the rank-r basis order.
+
+    Each rank comes from the one below by expanding along the first row of
+    O[I, J]: det O[I, J] = sum_p (-1)^p O[i_1, j_p] det O[I - i_1, J - j_p].
+    """
+    o = np.asarray(o, dtype=float)
+    n = len(o)
+    if o.shape != (n, n):
+        raise ValueError("orbital matrix must be square")
+    if not 1 <= r <= n:
+        raise ValueError(f"need 1 <= r <= {n}, got {r}")
+    c = o.copy()
+    for s in range(2, r + 1):
+        plan = compound_plan(n, s)
+        lead = o[plan.orbs[:, 0]]
+        sub = c[plan.minors[:, 0]]
+        nxt = lead[:, plan.orbs[:, 0]] * sub[:, plan.minors[:, 0]]
+        for p in range(1, s):
+            term = lead[:, plan.orbs[:, p]] * sub[:, plan.minors[:, p]]
+            if p % 2:
+                nxt -= term
+            else:
+                nxt += term
+        c = nxt
+    return c

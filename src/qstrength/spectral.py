@@ -1,10 +1,11 @@
 """Spectral analysis: overlaps, strength functions, chaos measures.
 
-Given per-member eigen-decompositions of the mean-field operator H0 and the
-full Hamiltonian H, the squared-overlap matrix between the two eigenbases is a
-doubly stochastic array; rows of that array, selected by windows on the
-standardized H0 spectrum and binned over the standardized H spectrum, give the
-strength functions F_kappa(E).  Everything is gathered in raw-sum accumulators
+Each ensemble member is diagonalized once, in the eigenbasis of the mean-field
+operator H0: the unperturbed states |kappa> are unit vectors there, so the
+eigenvector matrix u of H itself gives the squared overlaps W = u * u, a
+doubly stochastic array.  Rows of W, selected by windows on the standardized
+H0 spectrum and binned over the standardized H spectrum, give the strength
+functions F_kappa(E).  Everything is gathered in raw-sum accumulators
 (weights, weighted power sums, histograms) so that partial results merge
 associatively and a parallel run reduces to the same numbers as a serial one.
 
@@ -57,26 +58,30 @@ def diagonalize(
     """
     w, u = np.linalg.eigh(mat)
     scale = float(np.linalg.norm(mat))
-    resid = float(np.linalg.norm(mat @ u - u * w))
+    r = mat @ u
+    r -= u * w
+    resid = float(np.linalg.norm(r))
     if resid > residual_tol * max(scale, 1e-300):
         raise DiagonalizationError(f"reconstruction residual {resid:.3e} vs scale {scale:.3e}")
-    gram_dev = float(np.max(np.abs(u.T @ u - np.eye(len(w)))))
+    gram = u.T @ u
+    gram.flat[:: len(w) + 1] -= 1.0
+    gram_dev = float(np.max(np.abs(gram)))
     if gram_dev > orthonormal_tol:
         raise DiagonalizationError(f"eigenvectors not orthonormal: deviation {gram_dev:.3e}")
     return w, u
 
 
-def overlaps(u0: np.ndarray, u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Squared-overlap matrix W[kappa, E] = |<kappa|E>|^2 between two eigenbases.
+def overlaps(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Squared-overlap matrix W[kappa, E] = |<kappa|E>|^2.
 
-    Both row sums (fixed kappa) and column sums (fixed E) must equal 1 within
-    tol; this is the doubly stochastic contract every downstream accumulator
-    relies on.
+    u holds the eigenvectors |E> as columns, written in the basis of the
+    unperturbed states |kappa>, so W = u * u elementwise.  Both row sums (fixed
+    kappa) and column sums (fixed E) must equal 1 within tol; this is the
+    doubly stochastic contract every downstream accumulator relies on.
     """
-    if u0.shape != u.shape:
-        raise ValueError("eigenvector matrices must have identical shape")
-    c = u0.T @ u
-    wsq = c * c
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ValueError(f"eigenvector matrix must be square, got shape {u.shape}")
+    wsq = u * u
     dev = max(
         float(np.max(np.abs(wsq.sum(axis=0) - 1.0))),
         float(np.max(np.abs(wsq.sum(axis=1) - 1.0))),

@@ -13,7 +13,14 @@ import numpy as np
 import pytest
 
 from qstrength import bca, fock
-from qstrength.fock import build_basis, embed_k_body, embedding_plan, sample_goe
+from qstrength.fock import (
+    build_basis,
+    compound_matrix,
+    compound_plan,
+    embed_k_body,
+    embedding_plan,
+    sample_goe,
+)
 
 
 def annihilators(n_orb: int) -> list[np.ndarray]:
@@ -208,3 +215,91 @@ def test_bases_and_plans_are_shared_and_read_only():
         basis.states[0] = 0
     with pytest.raises(ValueError):
         embedding_plan(6, 3, 2).sign[0] = 0
+
+
+def test_occupations_match_bitmasks():
+    basis = build_basis(7, 3)
+    occ = basis.occupations
+    assert occ.shape == (basis.dim, 7)
+    assert np.all(occ.sum(axis=1) == 3.0)
+    weights = 2 ** np.arange(7)
+    np.testing.assert_array_equal(occ @ weights, basis.states.astype(float))
+
+
+# ---------------------------------------------------------------------------
+# compound matrices
+
+
+def _orthogonal(n: int, seed: int) -> np.ndarray:
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return q
+
+
+def _subsets(n_orb: int, r: int) -> list[list[int]]:
+    return [[o for o in range(n_orb) if int(mk) >> o & 1] for mk in build_basis(n_orb, r).states]
+
+
+@pytest.mark.parametrize("n_orb, r", [(6, 2), (6, 3), (7, 4), (8, 2), (8, 5)])
+def test_compound_matches_subdeterminants(n_orb, r):
+    a = np.random.default_rng(n_orb * 10 + r).standard_normal((n_orb, n_orb))
+    subs = _subsets(n_orb, r)
+    want = np.array([[np.linalg.det(a[np.ix_(i, j)]) for j in subs] for i in subs])
+    np.testing.assert_allclose(compound_matrix(a, r), want, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_orb", [6, 7, 8])
+def test_first_compound_is_the_matrix(n_orb):
+    o = _orthogonal(n_orb, n_orb)
+    np.testing.assert_array_equal(compound_matrix(o, 1), o)
+
+
+@pytest.mark.parametrize("n_orb", [6, 7, 8])
+def test_compound_of_orthogonal_is_orthogonal(n_orb):
+    o = _orthogonal(n_orb, 100 + n_orb)
+    for r in range(1, n_orb + 1):
+        c = compound_matrix(o, r)
+        assert c.shape == (math.comb(n_orb, r),) * 2
+        assert np.max(np.abs(c.T @ c - np.eye(len(c)))) <= 1e-13
+
+
+@pytest.mark.parametrize("n_orb", [6, 7, 8])
+def test_compound_is_multiplicative(n_orb):
+    rng = np.random.default_rng(200 + n_orb)
+    a = rng.standard_normal((n_orb, n_orb))
+    b = rng.standard_normal((n_orb, n_orb))
+    for r in range(1, n_orb + 1):
+        want = compound_matrix(a @ b, r)
+        got = compound_matrix(a, r) @ compound_matrix(b, r)
+        np.testing.assert_allclose(got, want, atol=1e-11 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("n_orb, m, k", [(6, 3, 1), (6, 3, 2), (6, 3, 3), (8, 4, 2)])
+def test_compound_rotation_commutes_with_embedding(n_orb, m, k):
+    # rotating the rank-k coefficients by C_k(O) is rotating the embedded
+    # operator by C_m(O): the phase conventions of the two agree
+    basis_m, basis_k = build_basis(n_orb, m), build_basis(n_orb, k)
+    o = _orthogonal(n_orb, 10 * n_orb + k)
+    v = sample_goe(basis_k.dim, 31, k)
+    ck, cm = compound_matrix(o, k), compound_matrix(o, m)
+    got = embed_k_body(ck.T @ v @ ck, basis_m, basis_k)
+    want = cm.T @ embed_k_body(v, basis_m, basis_k) @ cm
+    np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def test_compound_plans_are_shared_and_read_only():
+    assert compound_plan(7, 3) is compound_plan(7, 3)
+    plan = compound_plan(7, 3)
+    assert plan.orbs.shape == plan.minors.shape == (35, 3)
+    with pytest.raises(ValueError):
+        plan.minors[0, 0] = 0
+
+
+def test_compound_rejects_bad_input():
+    with pytest.raises(ValueError):
+        compound_matrix(np.zeros((3, 4)), 2)
+    with pytest.raises(ValueError):
+        compound_matrix(np.eye(4), 5)
+    with pytest.raises(ValueError):
+        compound_matrix(np.eye(4), 0)
+    with pytest.raises(ValueError):
+        compound_plan(4, 1)

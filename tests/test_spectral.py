@@ -58,7 +58,7 @@ class TestOverlaps:
         rng = np.random.default_rng(9)
         a = rng.standard_normal((15, 15))
         _, u = diagonalize(a + a.T)
-        np.testing.assert_allclose(overlaps(u, u), np.eye(15), atol=1e-12)
+        np.testing.assert_allclose(overlaps(u.T @ u), np.eye(15), atol=1e-12)
 
     def test_doubly_stochastic(self):
         rng = np.random.default_rng(10)
@@ -66,19 +66,19 @@ class TestOverlaps:
         b = rng.standard_normal((30, 30))
         _, u0 = diagonalize(a + a.T)
         _, u1 = diagonalize(b + b.T)
-        wsq = overlaps(u0, u1)
+        wsq = overlaps(u0.T @ u1)
         np.testing.assert_allclose(wsq.sum(axis=0), 1.0, atol=1e-10)
         np.testing.assert_allclose(wsq.sum(axis=1), 1.0, atol=1e-10)
         assert np.all(wsq >= 0)
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="identical shape"):
-            overlaps(np.eye(3), np.eye(4))
+        with pytest.raises(ValueError, match="square"):
+            overlaps(np.eye(4)[:, :3])
 
     def test_non_orthonormal_input_rejected(self):
         u_bad = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(ValueError, match="doubly stochastic"):
-            overlaps(u_bad, u_bad)
+            overlaps(u_bad.T @ u_bad)
 
 
 class TestStandardize:
@@ -114,7 +114,7 @@ def _toy_member(seed):
     _, u0 = diagonalize(a + a.T)
     b = rng.standard_normal((n, n))
     _, u1 = diagonalize(b + b.T)
-    return e0, e1, overlaps(u0, u1)
+    return e0, e1, overlaps(u0.T @ u1)
 
 
 class TestStrengthReport:
