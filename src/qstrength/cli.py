@@ -246,11 +246,14 @@ def cmd_npc(args) -> int:
 
 def _run_config(cfg: dict) -> ensemble.RunConfig:
     lo, hi, n = _parse_grid(cfg["grid"])
-    return ensemble.RunConfig(
-        N=cfg["N"], m=cfg["m"], t=cfg["t"], k=cfg["k"],
-        grid_lo=lo, grid_hi=hi, grid_bins=n,
-        **{field: cfg[key] for key, field in _RUN_FIELDS.items()},
-    )
+    try:
+        return ensemble.RunConfig(
+            N=cfg["N"], m=cfg["m"], t=cfg["t"], k=cfg["k"],
+            grid_lo=lo, grid_hi=hi, grid_bins=n,
+            **{field: cfg[key] for key, field in _RUN_FIELDS.items()},
+        )
+    except ValueError as exc:
+        raise SystemExit(f"bad simulate config: {exc}")
 
 
 def _strength_rows(rep: spectral.StrengthReport, qs: bca.QParameterSet):

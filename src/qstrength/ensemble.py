@@ -21,7 +21,8 @@ makes the final numbers byte-identical for any worker count.
 The runner produces three mergeable products: a StrengthReport (overlap rows
 selected by windows on the standardized H0 spectrum), ChaosMeasures (NPC and
 information entropy binned on the standardized H spectrum), and optionally a
-BivariateMomentAccumulator of centered trace moments through fourth order.
+BivariateMomentAccumulator of centered trace moments through fourth order,
+which needs only E0, E and W, so H is dropped after its eigensolve.
 """
 
 from __future__ import annotations
@@ -70,6 +71,8 @@ class RunConfig:
             raise ValueError("set exactly one of lam and xi_sq_target")
         if self.members < 1:
             raise ValueError("members must be >= 1")
+        if not self.window_centers:
+            raise ValueError("window_centers must not be empty")
         if self.window_width <= 0:
             raise ValueError("window_width must be positive")
         if not self.grid_lo < self.grid_hi:
@@ -129,7 +132,6 @@ class MemberSpectra(NamedTuple):
     e0: np.ndarray  # H0 eigenvalues, one per unperturbed state kappa
     e: np.ndarray  # ascending H eigenvalues
     overlap_sq: np.ndarray  # W[kappa, E] = |<kappa|E>|^2
-    h: np.ndarray  # H = diag(e0) + lam * V' in the same basis
 
 
 def member_spectra(cfg: RunConfig, member: int) -> MemberSpectra:
@@ -154,7 +156,7 @@ def member_spectra(cfg: RunConfig, member: int) -> MemberSpectra:
     h *= cfg.resolved_lam()
     h.flat[:: basis_m.dim + 1] += e0
     e, u = spectral.diagonalize(h)
-    return MemberSpectra(e0, e, spectral.overlaps(u), h)
+    return MemberSpectra(e0, e, spectral.overlaps(u))
 
 
 def run_member(cfg: RunConfig, member: int):
@@ -171,7 +173,7 @@ def run_member(cfg: RunConfig, member: int):
         strength.add_member(e0, e1, spec.overlap_sq)
         chaos.add_member(e1, spec.overlap_sq)
         if cfg.with_moments:
-            moments.add_member(np.diag(spec.e0), spec.h)
+            moments.add_member(spec.e0, spec.e, spec.overlap_sq)
     except (np.linalg.LinAlgError, spectral.DiagonalizationError, ValueError) as exc:
         return None, None, None, f"member {member}: {exc}"
     return strength, chaos, moments, None

@@ -14,7 +14,8 @@ weights; histograms are only for display and for the L1 comparison against the
 conditional q-normal benchmark curve.  Chaos measures (number of principal
 components and information entropy) are binned over the H spectrum the same
 way, and the analytic NPC curve is available as a quadrature of the q-normal
-densities for comparison.
+densities for comparison.  Bivariate trace moments need no matrix either: in
+the H0 eigenbasis tr(H0^P H^Q) = sum_kappa E0_kappa^P (W E^Q)_kappa.
 """
 
 from __future__ import annotations
@@ -437,49 +438,43 @@ class EmpiricalBivariateMoments:
 _REDUCED_NAMES = ("mu11", "mu40", "mu04", "mu31", "mu13", "mu22")
 
 
+def _reduced(traces: np.ndarray) -> np.ndarray:
+    """Reduced moments in _REDUCED_NAMES order from the 12 centered traces."""
+    t20, t11, t02, _, _, _, _, t40, t31, t22, t13, t04 = traces
+    s1, s2 = math.sqrt(t20), math.sqrt(t02)
+    return np.array([t11 / (s1 * s2), t40 / s1**4, t04 / s2**4,
+                     t31 / (s1**3 * s2), t13 / (s1 * s2**3), t22 / (s1**2 * s2**2)])
+
+
 @dataclass
 class BivariateMomentAccumulator:
-    """Sums of per-member centered traces (1/d) tr(H0^P H^Q), P + Q <= 4."""
+    """Sums of per-member centered traces (1/d) tr(H0^P H^Q), P + Q <= 4.
+
+    A member enters as its H0 eigenvalues e0, H eigenvalues e and strength
+    matrix W.  In the H0 eigenbasis, with a = e0 - mean(e0), c = e - mean(e),
+    T_PQ = (1/d) sum_kappa a_kappa^P (W c^Q)_kappa since (W c^Q)_kappa =
+    <kappa|H_c^Q|kappa>.  That is exact for all 12 traces: each is a power of
+    H0 times a power of H; no interleaved tr(h0 h h0 h) occurs through order 4.
+    """
 
     member_count: int = 0
     trace_sums: np.ndarray = _zeros(12)  # T20 T11 T02 T30 T21 T12 T03 T40 T31 T22 T13 T04
     value_sums: np.ndarray = _zeros(6)  # per-member reduced moments, _REDUCED_NAMES order
     value_sq_sums: np.ndarray = _zeros(6)
 
-    def add_member(self, h0: np.ndarray, h: np.ndarray) -> None:
-        d = len(h0)
-        ident = np.eye(d)
-        h0c = h0 - (np.trace(h0) / d) * ident
-        hc = h - (np.trace(h) / d) * ident
-        a = h0c @ h0c
-        b = hc @ hc
-        r = h0c @ hc
-        t20 = float(np.trace(a)) / d
-        t11 = float(np.sum(h0c * hc)) / d
-        t02 = float(np.trace(b)) / d
-        t30 = float(np.sum(a * h0c)) / d
-        t21 = float(np.sum(a * hc)) / d
-        t12 = float(np.sum(b * h0c)) / d
-        t03 = float(np.sum(b * hc)) / d
-        t40 = float(np.sum(a * a)) / d
-        t31 = float(np.sum(a * r.T)) / d
-        t22 = float(np.sum(a * b)) / d
-        t13 = float(np.sum(r * b)) / d
-        t04 = float(np.sum(b * b)) / d
-        self.trace_sums += np.array(
-            [t20, t11, t02, t30, t21, t12, t03, t40, t31, t22, t13, t04]
-        )
-        s1, s2 = math.sqrt(t20), math.sqrt(t02)
-        vals = np.array(
-            [
-                t11 / (s1 * s2),
-                t40 / s1**4,
-                t04 / s2**4,
-                t31 / (s1**3 * s2),
-                t13 / (s1 * s2**3),
-                t22 / (s1**2 * s2**2),
-            ]
-        )
+    def add_member(self, e0: np.ndarray, e: np.ndarray, overlap_sq: np.ndarray) -> None:
+        d = len(e0)
+        a, c = e0 - np.mean(e0), e - np.mean(e)
+        a_pow = np.array([a, a**2, a**3, a**4])
+        c_pow = np.array([c, c**2, c**3, c**4])
+        # cross[P-1, Q-1] = T_PQ = (1/d) sum_kappa a_kappa^P <kappa|H_c^Q|kappa>
+        cross = a_pow[:3] @ (overlap_sq @ c_pow[:3].T) / d
+        t20, t30, t40 = a_pow[1:].sum(axis=1) / d
+        t02, t03, t04 = c_pow[1:].sum(axis=1) / d
+        (t11, t12, t13), (t21, t22, _), (t31, _, _) = cross
+        traces = np.array([t20, t11, t02, t30, t21, t12, t03, t40, t31, t22, t13, t04])
+        self.trace_sums += traces
+        vals = _reduced(traces)
         self.value_sums += vals
         self.value_sq_sums += vals**2
         self.member_count += 1
@@ -496,21 +491,17 @@ class BivariateMomentAccumulator:
         if self.member_count == 0:
             raise ValueError("no members accumulated")
         n = self.member_count
-        t20, t11, t02, _, _, _, _, t40, t31, t22, t13, t04 = self.trace_sums / n
-        s1, s2 = math.sqrt(t20), math.sqrt(t02)
-        mean = self.value_sums / n
-        var = np.maximum(self.value_sq_sums / n - mean**2, 0.0)
+        traces = self.trace_sums / n
+        mean, mean_sq = self.value_sums / n, self.value_sq_sums / n
+        var = mean_sq - mean**2
+        # within the one-pass formula's rounding bound the spread is unresolved
+        var[var <= (n + 2) * np.finfo(float).eps * mean_sq] = 0.0
         std = np.sqrt(var)
         return EmpiricalBivariateMoments(
             member_count=n,
-            sigma_h0=s1,
-            sigma_h=s2,
-            mu11=t11 / (s1 * s2),
-            mu40=t40 / s1**4,
-            mu04=t04 / s2**4,
-            mu31=t31 / (s1**3 * s2),
-            mu13=t13 / (s1 * s2**3),
-            mu22=t22 / (s1**2 * s2**2),
+            sigma_h0=math.sqrt(traces[0]),
+            sigma_h=math.sqrt(traces[2]),
+            **dict(zip(_REDUCED_NAMES, _reduced(traces).tolist())),
             member_mean=dict(zip(_REDUCED_NAMES, mean)),
             member_std=dict(zip(_REDUCED_NAMES, std)),
         )

@@ -170,6 +170,13 @@ def sim_args(**overrides):
 SIM_ARGS = sim_args()
 
 
+def subprocess_env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return os.environ | {"PYTHONPATH": path}
+
+
 def sim_outputs(tmp_path: Path):
     return sorted(p.name for p in tmp_path.iterdir())
 
@@ -191,10 +198,12 @@ class TestSimulate:
         assert "bivariate.csv" in sim_outputs(tmp_path)
         assert "moments.csv" in sim_outputs(tmp_path)
 
-    def test_worker_count_does_not_change_bytes(self, tmp_path):
+    @pytest.mark.parametrize("extra", [[], ["--moments"]], ids=["default", "moments"])
+    def test_worker_count_does_not_change_bytes(self, tmp_path, extra):
         a, b = tmp_path / "a", tmp_path / "b"
-        assert run_cli(SIM_ARGS + ["--workers", "1", "--out", str(a)])[0] == 0
-        assert run_cli(SIM_ARGS + ["--workers", "2", "--out", str(b)])[0] == 0
+        assert run_cli(SIM_ARGS + extra + ["--workers", "1", "--out", str(a)])[0] == 0
+        assert run_cli(SIM_ARGS + extra + ["--workers", "2", "--out", str(b)])[0] == 0
+        assert ("bivariate.csv" in sim_outputs(a)) == bool(extra)
         for name in sim_outputs(a):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
@@ -256,6 +265,18 @@ class TestSimulate:
         assert code == 1
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("flag", ["--windows=,", "--window-width=0"])
+    def test_bad_run_config_exits_without_traceback(self, tmp_path, flag):
+        script = (
+            "from qstrength import cli\n"
+            f"cli.main({SIM_ARGS + [flag, '--check', '--out', str(tmp_path)]!r})\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=subprocess_env(),
+                              capture_output=True, text=True)
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("bad simulate config:") and proc.stderr.count("\n") == 1
+
     def test_params_csv_matches_resolved_coupling(self, tmp_path):
         run_cli(SIM_ARGS + ["--out", str(tmp_path)])
         _, _, rows = read_csv(tmp_path / "params.csv")
@@ -294,8 +315,6 @@ def test_npc_and_simulate_do_not_import_scipy(tmp_path):
         f" '--out', {str(tmp_path / 'sim')!r}]) == 0\n"
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = os.environ | {"PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", script], env=subprocess_env(),
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

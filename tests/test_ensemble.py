@@ -8,6 +8,7 @@ eigenvalues and overlaps with one eigensolve of H per member.
 
 import numpy as np
 import pytest
+from test_spectral import dense_traces
 
 from qstrength import fock, spectral
 from qstrength.ensemble import RunConfig, member_spectra, run_member
@@ -45,12 +46,12 @@ def test_moments_are_basis_independent(system):
     cfg = RunConfig(N=N, m=m, t=t, k=k, xi_sq_target=0.5, seed=43)
     spec = member_spectra(cfg, 0)
     h0, h, _ = dense_oracle(cfg, 0)
-    frame, dense = spectral.BivariateMomentAccumulator(), spectral.BivariateMomentAccumulator()
-    frame.add_member(np.diag(spec.e0), spec.h)
-    dense.add_member(h0, h)
+    frame = spectral.BivariateMomentAccumulator()
+    frame.add_member(spec.e0, spec.e, spec.overlap_sq)
+    dense = dense_traces(h0, h)
     # T30 vanishes for t = 1 at half filling, so the scale sets the slack
-    scale = np.max(np.abs(dense.trace_sums))
-    np.testing.assert_allclose(frame.trace_sums, dense.trace_sums, rtol=1e-10, atol=1e-12 * scale)
+    scale = np.max(np.abs(dense))
+    np.testing.assert_allclose(frame.trace_sums, dense, rtol=1e-10, atol=1e-12 * scale)
 
 
 @pytest.mark.parametrize("system", [(8, 4, 1, 2), (8, 4, 2, 3)])

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qstrength import bca
+from qstrength import bca, fock
 from qstrength.qnormal import QuadratureError, f_cqn, f_qn, support
 from qstrength.spectral import (
     BivariateMomentAccumulator,
@@ -352,14 +354,102 @@ def test_npc_integral_raises_when_panels_do_not_converge():
 # bivariate trace moments
 
 
+def dense_traces(h0: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Oracle: the 12 centred traces (1/d) tr(H0^P H^Q) from three d x d matmuls.
+
+    Order T20 T11 T02 T30 T21 T12 T03 T40 T31 T22 T13 T04, as in trace_sums.
+    """
+    d = len(h0)
+    h0c = h0 - (np.trace(h0) / d) * np.eye(d)
+    hc = h - (np.trace(h) / d) * np.eye(d)
+    a, b, r = h0c @ h0c, hc @ hc, h0c @ hc
+    return np.array([
+        np.trace(a), np.sum(h0c * hc), np.trace(b),
+        np.sum(a * h0c), np.sum(a * hc), np.sum(b * h0c), np.sum(b * hc),
+        np.sum(a * a), np.sum(a * r.T), np.sum(a * b), np.sum(r * b), np.sum(b * b),
+    ]) / d
+
+
+def strength_frame(h0: np.ndarray, h: np.ndarray):
+    """(E0, E, W) of a symmetric pair, W = (U0^T U)^2 from two eigensolves."""
+    e0, u0 = np.linalg.eigh(h0)
+    e, u = np.linalg.eigh(h)
+    return e0, e, (u0.T @ u) ** 2
+
+
+def random_symmetric(rng, d: int) -> np.ndarray:
+    a = rng.standard_normal((d, d))
+    return a + a.T
+
+
+def assert_traces_match(acc: BivariateMomentAccumulator, want: np.ndarray) -> None:
+    # odd traces can vanish (T30 at half filling), so the scale sets the slack
+    scale = np.max(np.abs(want))
+    np.testing.assert_allclose(acc.trace_sums, want, rtol=1e-10, atol=1e-12 * scale)
+
+
 class TestBivariateAccumulator:
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(2, 40), lam=st.floats(0.0, 4.0), seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_oracle(self, d, lam, seed):
+        rng = np.random.default_rng(seed)
+        h0 = random_symmetric(rng, d)
+        h = h0 + lam * random_symmetric(rng, d)
+        acc = BivariateMomentAccumulator()
+        acc.add_member(*strength_frame(h0, h))
+        assert_traces_match(acc, dense_traces(h0, h))
+
+    def test_uncoupled_member_with_identity_strength(self):
+        e0 = np.random.default_rng(4).standard_normal(30)
+        acc = BivariateMomentAccumulator()
+        acc.add_member(e0, e0, np.eye(30))
+        assert_traces_match(acc, dense_traces(np.diag(e0), np.diag(e0)))
+        # W = I: every T_PQ is the power sum T_(P+Q)0 of the one spectrum
+        t = acc.trace_sums
+        np.testing.assert_allclose(t[[1, 2, 4, 5, 6, 8, 9, 10, 11]], t[[0, 0, 3, 3, 3, 7, 7, 7, 7]],
+                                   rtol=1e-13, atol=1e-15 * np.max(np.abs(t)))
+        assert acc.finalize().mu11 == pytest.approx(1.0, rel=1e-12)
+
+    def test_uncoupled_members_have_no_correlation_spread(self):
+        # per-member mu11 is 1 up to an ulp; the one-pass variance of such
+        # values is rounding residue (2.2e-16 here), not a spread of 1.5e-8
+        rng = np.random.default_rng(4)
+        acc = BivariateMomentAccumulator()
+        for d in (30, 40, 50, 60, 70, 80):
+            e0 = rng.standard_normal(d)
+            order = np.argsort(e0)
+            w = np.zeros((d, d))
+            w[order, np.arange(d)] = 1.0
+            acc.add_member(e0, e0[order], w)
+        emp = acc.finalize()
+        assert emp.member_mean["mu11"] == pytest.approx(1.0, rel=1e-15)
+        assert emp.member_std["mu11"] == 0.0
+        assert emp.member_std["mu40"] > 0.1
+
+    def test_repeated_h0_eigenvalues(self):
+        rng = np.random.default_rng(6)
+        q, _ = np.linalg.qr(rng.standard_normal((24, 24)))
+        h0 = (q * np.repeat([-1.5, 0.0, 0.5, 2.0], 6)) @ q.T
+        h = h0 + 0.4 * random_symmetric(rng, 24)
+        acc = BivariateMomentAccumulator()
+        acc.add_member(*strength_frame(h0, h))
+        assert_traces_match(acc, dense_traces(h0, h))
+
+    def test_two_body_mean_field_member(self):
+        basis_m, basis_t, basis_k = (fock.build_basis(8, r) for r in (4, 2, 3))
+        h0 = fock.embed_k_body(fock.sample_goe(basis_t.dim, 17, 0, 0), basis_m, basis_t)
+        v = fock.embed_k_body(fock.sample_goe(basis_k.dim, 17, 0, 1), basis_m, basis_k)
+        h = h0 + bca.lam_for_xi_sq(8, 4, 2, 3, 0.5) * v
+        acc = BivariateMomentAccumulator()
+        acc.add_member(*strength_frame(h0, h))
+        assert_traces_match(acc, dense_traces(h0, h))
+
     def test_identical_operators_have_unit_correlation(self):
         rng = np.random.default_rng(2)
         acc = BivariateMomentAccumulator()
         for _ in range(3):
-            a = rng.standard_normal((30, 30))
-            h = a + a.T
-            acc.add_member(h, h)
+            h = random_symmetric(rng, 30)
+            acc.add_member(*strength_frame(h, h))
         emp = acc.finalize()
         assert emp.mu11 == pytest.approx(1.0, rel=1e-12)
         assert emp.mu40 == pytest.approx(emp.mu04, rel=1e-12)
@@ -367,15 +457,15 @@ class TestBivariateAccumulator:
 
     def test_merge_equals_sequential(self):
         rng = np.random.default_rng(8)
-        mats = [rng.standard_normal((20, 20)) for _ in range(4)]
-        mats = [(a + a.T) for a in mats]
+        frames = [strength_frame(random_symmetric(rng, 20), random_symmetric(rng, 20))
+                  for _ in range(2)]
         full = BivariateMomentAccumulator()
         a = BivariateMomentAccumulator()
         b = BivariateMomentAccumulator()
-        for i in range(0, 4, 2):
-            full.add_member(mats[i], mats[i + 1])
-        a.add_member(mats[0], mats[1])
-        b.add_member(mats[2], mats[3])
+        for frame in frames:
+            full.add_member(*frame)
+        a.add_member(*frames[0])
+        b.add_member(*frames[1])
         merged = a.merge(b)
         np.testing.assert_allclose(merged.trace_sums, full.trace_sums, rtol=1e-12)
         f1, f2 = merged.finalize(), full.finalize()
@@ -389,9 +479,7 @@ class TestBivariateAccumulator:
         rng = np.random.default_rng(13)
         acc = BivariateMomentAccumulator()
         for _ in range(5):
-            a = rng.standard_normal((25, 25))
-            b = rng.standard_normal((25, 25))
-            acc.add_member(a + a.T, b + b.T)
+            acc.add_member(*strength_frame(random_symmetric(rng, 25), random_symmetric(rng, 25)))
         emp = acc.finalize()
         assert set(emp.member_std) == {"mu11", "mu40", "mu04", "mu31", "mu13", "mu22"}
         assert all(v > 0 for v in emp.member_std.values())
