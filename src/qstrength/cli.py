@@ -130,19 +130,25 @@ def cmd_tables(args) -> int:
 
 
 def _coupling_block(N, m, t, k, lam, xi_sq_target):
-    """Key-value rows describing the system in both variance conventions."""
+    """Key-value rows describing the system in both variance conventions.
+
+    A bad system exits with one line before any coupling is solved for.
+    """
     rows: list[tuple[str, object]] = [("N", N), ("m", m), ("t", t), ("k", k)]
-    if xi_sq_target is not None:
-        lam_inf = bca.lam_from_bold(
-            bca.lambda_thermo(m, t, k) * (1.0 / xi_sq_target - 1.0), N, t, k
-        )
-        lam_fin = bca.lam_for_xi_sq(N, m, t, k, xi_sq_target)
-        rows += [("xi_sq_target", xi_sq_target), ("lambda_infinite_n", lam_inf),
-                 ("lambda_finite_n", lam_fin)]
-        lam = lam_fin
-    else:
-        rows.append(("lambda", lam))
-    params = bca.SystemParams(N, m, t, k, lam)
+    try:
+        params = bca.SystemParams(N, m, t, k)
+        if xi_sq_target is not None:
+            lam = bca.lam_for_xi_sq(N, m, t, k, xi_sq_target)
+            lam_inf = bca.lam_from_bold(
+                bca.lambda_thermo(m, t, k) * (1.0 / xi_sq_target - 1.0), N, t, k
+            )
+            rows += [("xi_sq_target", xi_sq_target), ("lambda_infinite_n", lam_inf),
+                     ("lambda_finite_n", lam)]
+        else:
+            rows.append(("lambda", lam))
+        params = dataclasses.replace(params, lam=lam)
+    except ValueError as exc:
+        raise SystemExit(f"bad system: {exc}")
     xi_sq_inf = bca.xi_infinite(params) ** 2
     xi_sq_fin = bca.xi_sq_finite(N, m, t, k, lam)
     rows += [
@@ -257,17 +263,10 @@ def _run_config(cfg: dict) -> ensemble.RunConfig:
 
 
 def _strength_rows(rep: spectral.StrengthReport, qs: bca.QParameterSet):
-    mom = rep.window_moments()
-    f_emp = rep.f_values()
-    xc = rep.bin_centers
+    f_emp, f_pred = rep.f_values(), spectral.predicted_f_values(rep, qs)
     rows = []
-    for i, center in enumerate(rep.window_centers):
-        e0 = mom["e0_mean"][i]
-        if np.isfinite(e0):
-            f_pred = qnormal.f_cqn(xc, float(e0), qs.xi, qs.q_hv)
-        else:
-            f_pred = np.full(len(xc), np.nan)
-        rows.extend([center, e0, x, f, p] for x, f, p in zip(xc, f_emp[i], f_pred))
+    for i, (center, e0) in enumerate(zip(rep.window_centers, rep.e0_mean)):
+        rows.extend([center, e0, x, f, p] for x, f, p in zip(rep.bin_centers, f_emp[i], f_pred[i]))
     return rows
 
 

@@ -14,21 +14,22 @@ embedded mean field H0, where the unperturbed states |kappa> are unit vectors:
 Either way H = diag(E0) + lam * V' is diagonalized once, and its eigenvectors u
 give the strength W = u * u directly.  Members are completely determined by
 (master seed, member index), so any subset can be recomputed anywhere; worker
-processes only change where a member is computed, never its result.  Partial
-accumulators come back to the parent and are merged in member order, which
-makes the final numbers byte-identical for any worker count.
+processes only change where a member is computed, never its result.
 
-The runner produces three mergeable products: a StrengthReport (overlap rows
+Each member yields one tuple of partial sums: a StrengthReport (overlap rows
 selected by windows on the standardized H0 spectrum), ChaosMeasures (NPC and
-information entropy binned on the standardized H spectrum), and optionally a
-BivariateMomentAccumulator of centered trace moments through fourth order,
-which needs only E0, E and W, so H is dropped after its eigensolve.
+information entropy binned on the standardized H spectrum), and with
+with_moments a BivariateMomentAccumulator of centered trace moments through
+fourth order, which needs only E0, E and W, so H is dropped after its
+eigensolve.  The parent merges the tuples position by position in member
+order, by the spectral module's sums contract (a failed member adds zeros),
+which makes the final numbers byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -81,7 +82,7 @@ class RunConfig:
             raise ValueError("grid_bins must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        self.system()  # validates N, m, t, k and the resolved coupling
+        self.system()  # validates N, m, t, k, then the resolved coupling
 
     def resolved_lam(self) -> float:
         if self.lam is not None:
@@ -89,7 +90,9 @@ class RunConfig:
         return bca.lam_for_xi_sq(self.N, self.m, self.t, self.k, self.xi_sq_target)
 
     def system(self) -> bca.SystemParams:
-        return bca.SystemParams(self.N, self.m, self.t, self.k, self.resolved_lam())
+        # SystemParams checks N, m, t, k before the coupling is solved for
+        params = bca.SystemParams(self.N, self.m, self.t, self.k)
+        return replace(params, lam=self.resolved_lam())
 
     def windows(self) -> np.ndarray:
         c = np.asarray(self.window_centers, dtype=float)
@@ -117,13 +120,6 @@ class EnsembleResult:
     def qs_finite(self) -> bca.QParameterSet:
         c = self.config
         return bca.q_params_finite(c.N, c.m, c.t, c.k, self.xi_sq_finite)
-
-
-def _empty_partials(cfg: RunConfig):
-    strength = spectral.StrengthReport(cfg.windows(), cfg.edges())
-    chaos = spectral.ChaosMeasures(cfg.edges())
-    moments = spectral.BivariateMomentAccumulator() if cfg.with_moments else None
-    return strength, chaos, moments
 
 
 class MemberSpectra(NamedTuple):
@@ -160,23 +156,26 @@ def member_spectra(cfg: RunConfig, member: int) -> MemberSpectra:
 
 
 def run_member(cfg: RunConfig, member: int):
-    """Compute one member's partial accumulators (member_count = 1 each).
+    """One member's partial sums (strength, chaos[, moments]) and an error or None.
 
-    Returns (strength, chaos, moments, error); a diagonalization failure gives
-    (None, None, None, message) and the member is skipped by the reducer.
+    A failed eigensolve or overlap check returns the sums still at zero
+    (member_count 0) with its message; otherwise each has member_count 1.
     """
-    strength, chaos, moments = _empty_partials(cfg)
+    sums = (spectral.StrengthReport(cfg.windows(), cfg.edges()),
+            spectral.ChaosMeasures(cfg.edges()))
+    if cfg.with_moments:
+        sums += (spectral.BivariateMomentAccumulator(),)
     try:
         spec = member_spectra(cfg, member)
-        e0 = spectral.standardize(spec.e0)
-        e1 = spectral.standardize(spec.e)
-        strength.add_member(e0, e1, spec.overlap_sq)
-        chaos.add_member(e1, spec.overlap_sq)
-        if cfg.with_moments:
-            moments.add_member(spec.e0, spec.e, spec.overlap_sq)
+        e0, e1 = spectral.standardize(spec.e0), spectral.standardize(spec.e)
     except (np.linalg.LinAlgError, spectral.DiagonalizationError, ValueError) as exc:
-        return None, None, None, f"member {member}: {exc}"
-    return strength, chaos, moments, None
+        return sums, f"member {member}: {exc}"
+    strength, chaos, *moments = sums
+    strength.add_member(e0, e1, spec.overlap_sq)
+    chaos.add_member(e1, spec.overlap_sq)
+    for acc in moments:
+        acc.add_member(spec.e0, spec.e, spec.overlap_sq)
+    return sums, None
 
 
 def _task(args):
@@ -184,7 +183,7 @@ def _task(args):
 
 
 def run_ensemble(cfg: RunConfig) -> EnsembleResult:
-    """Run all members and reduce their partials in member order."""
+    """Run all members and reduce their partial sums in member order."""
     # Check the basis size and build the embedding and compound tables up
     # front so forked workers inherit them.
     fock.build_basis(cfg.N, cfg.m)
@@ -195,27 +194,18 @@ def run_ensemble(cfg: RunConfig) -> EnsembleResult:
     else:
         fock.embedding_plan(cfg.N, cfg.m, cfg.t)
     tasks = [(cfg, member) for member in range(cfg.members)]
-    strength, chaos, moments = _empty_partials(cfg)
-    failures: list[tuple[int, str]] = []
-
-    def _reduce(partials) -> None:
-        nonlocal strength, chaos, moments
-        for member, (ps, pc, pm, err) in enumerate(partials):
-            if err is not None:
-                failures.append((member, err))
-                continue
-            strength = strength.merge(ps)
-            chaos = chaos.merge(pc)
-            if pm is not None:
-                moments = moments.merge(pm)
-
     if cfg.workers == 1:
-        _reduce(map(_task, tasks))
+        outcomes = list(map(_task, tasks))
     else:
         chunk = max(1, cfg.members // (4 * cfg.workers))
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            _reduce(pool.map(_task, tasks, chunksize=chunk))
-    return EnsembleResult(cfg, cfg.system(), strength, chaos, moments, tuple(failures))
+            outcomes = list(pool.map(_task, tasks, chunksize=chunk))
+    sums = outcomes[0][0]
+    for partial, _ in outcomes[1:]:
+        sums = tuple(total.merge(part) for total, part in zip(sums, partial))
+    failures = tuple((member, err) for member, (_, err) in enumerate(outcomes) if err is not None)
+    moments = sums[2] if cfg.with_moments else None
+    return EnsembleResult(cfg, cfg.system(), sums[0], sums[1], moments, failures)
 
 
 def run_checks(result: EnsembleResult) -> list[tuple[str, bool, str]]:

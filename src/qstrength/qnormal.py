@@ -35,8 +35,6 @@ __all__ = [
     "f_biv_qn",
     "f_cqn",
     "cqn_conditional_moments",
-    "cqn_moment_quadrature",
-    "verify_cqn_reproducing",
     "QuadratureError",
 ]
 
@@ -263,49 +261,3 @@ def cqn_conditional_moments(y: float, xi: float, q: float) -> ConditionalMoments
     gamma1 = -xi * (1.0 - q) * y / math.sqrt(v)
     gamma2 = (q - 1.0) + ((1.0 - q) ** 2 * xi * xi * y * y + xi * xi * (1.0 - q * q)) / v
     return ConditionalMoments(mean=xi * y, variance=v, gamma1=gamma1, gamma2=gamma2)
-
-
-def _quad_cqn(func, y: float, xi: float, q: float, tol: float) -> float:
-    from scipy.integrate import quad
-
-    sup = support(q)
-    lo, hi = (-np.inf, np.inf) if sup.is_infinite else (sup.lo, sup.hi)
-    val, err = quad(
-        lambda x: func(x) * f_cqn(x, y, xi, q),
-        lo,
-        hi,
-        epsabs=0.1 * tol,
-        epsrel=0.1 * tol,
-        limit=400,
-    )
-    if err > tol:
-        raise QuadratureError(f"integral error estimate {err:.3e} exceeds tolerance {tol:.3e}")
-    return val
-
-
-def cqn_moment_quadrature(order: int, y: float, xi: float, q: float, tol: float = 1e-8) -> float:
-    """Central moment E[(x - xi*y)^order] of f_CqN by adaptive quadrature.
-
-    Order 0 returns the normalization integral.  Raises QuadratureError when
-    the integrator's error estimate exceeds tol.  This is the slow, independent
-    cross-check for the closed forms in cqn_conditional_moments.
-    """
-    if order < 0:
-        raise ValueError("moment order must be >= 0")
-    q = _check_q(q)
-    xi = _check_xi(xi)
-    mean = xi * float(y)
-    return _quad_cqn(lambda x: (x - mean) ** order, y, xi, q, tol)
-
-
-def verify_cqn_reproducing(n: int, y: float, xi: float, q: float, tol: float = 1e-8) -> float:
-    """Residual |integral(H_n(x|q) f_CqN(x|y)) - xi^n H_n(y|q)|.
-
-    The conditional density reproduces q-Hermite polynomials with eigenvalue
-    xi^n; the returned residual is the quadrature-measured violation.
-    """
-    q = _check_q(q)
-    xi = _check_xi(xi)
-    lhs = _quad_cqn(lambda x: q_hermite(n, x, q), y, xi, q, tol)
-    rhs = xi**n * q_hermite(n, float(y), q)
-    return abs(lhs - rhs)

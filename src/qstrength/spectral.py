@@ -5,9 +5,11 @@ operator H0: the unperturbed states |kappa> are unit vectors there, so the
 eigenvector matrix u of H itself gives the squared overlaps W = u * u, a
 doubly stochastic array.  Rows of W, selected by windows on the standardized
 H0 spectrum and binned over the standardized H spectrum, give the strength
-functions F_kappa(E).  Everything is gathered in raw-sum accumulators
-(weights, weighted power sums, histograms) so that partial results merge
-associatively and a parallel run reduces to the same numbers as a serial one.
+functions F_kappa(E).  Every accumulator keeps one contract: its grid fields
+(windows, edges) are fixed, every other field is a raw sum over members
+(weights, power sums, histograms, traces, member_count) starting at zero, and
+merge() adds two accumulators field by field, refusing different grids.  So
+partial results reduced in member order give the same numbers for any split.
 
 Moments of a strength function are always computed from the raw overlap
 weights; histograms are only for display and for the L1 comparison against the
@@ -21,7 +23,7 @@ the H0 eigenbasis tr(H0^P H^Q) = sum_kappa E0_kappa^P (W E^Q)_kappa.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,6 +41,7 @@ __all__ = [
     "standardize",
     "centroid_slope",
     "window_predictions",
+    "predicted_f_values",
     "strength_l1",
     "npc_integral",
 ]
@@ -102,46 +105,65 @@ def standardize(eigvals: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# mergeable accumulators
+
+
+def _sum(*shape):
+    """A sum field, zero-filled on construction; "win"/"bin" in its shape count windows/bins."""
+    return field(default=None, metadata={"shape": shape})
+
+
+class _Sums:
+    """Base of the accumulators: the grid fields windows ((nwin, 2) [lo, hi)
+    intervals) and edges (bin edges), and raw sums in every other field."""
+
+    def __post_init__(self) -> None:
+        dims = {}
+        if hasattr(self, "windows"):
+            self.windows = np.asarray(self.windows, dtype=float).reshape(-1, 2)
+            dims["win"] = len(self.windows)
+        if hasattr(self, "edges"):
+            self.edges = np.asarray(self.edges, dtype=float)
+            dims["bin"] = len(self.edges) - 1
+        for f in fields(self):
+            if getattr(self, f.name) is None:
+                setattr(self, f.name, np.zeros([dims.get(n, n) for n in f.metadata["shape"]]))
+
+    def merge(self, other):
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name, mine in values.items():
+            if name not in ("windows", "edges"):
+                values[name] = mine + getattr(other, name)
+            elif not np.array_equal(mine, getattr(other, name)):
+                label = "grids" if name == "edges" else name
+                raise ValueError(f"cannot merge sums over different {label}")
+        return type(self)(**values)
+
+    @property
+    def bin_centers(self) -> np.ndarray:
+        return 0.5 * (self.edges[:-1] + self.edges[1:])
+
+
+# ---------------------------------------------------------------------------
 # strength-function accumulator
 
 
-def _zeros(shape):
-    return field(default_factory=lambda: np.zeros(shape))
-
-
 @dataclass
-class StrengthReport:
+class StrengthReport(_Sums):
     """Mergeable raw sums for strength functions over H0 windows.
 
-    windows is an (nwin, 2) array of [lo, hi) intervals on the standardized H0
-    axis; edges the histogram bin edges on the standardized H axis.  All other
-    fields are plain sums over members, so merge() is exact up to float
-    associativity.
+    windows are intervals on the standardized H0 axis, edges the histogram bin
+    edges on the standardized H axis.
     """
 
     windows: np.ndarray
     edges: np.ndarray
     member_count: int = 0
-    n_kappa: np.ndarray | None = None
-    weight: np.ndarray | None = None
-    sum_e0: np.ndarray | None = None
-    power_sums: np.ndarray | None = None  # (nwin, 4): sum of w * e^p, p = 1..4
-    hist: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        self.windows = np.asarray(self.windows, dtype=float).reshape(-1, 2)
-        self.edges = np.asarray(self.edges, dtype=float)
-        nwin, nbin = len(self.windows), len(self.edges) - 1
-        if self.n_kappa is None:
-            self.n_kappa = np.zeros(nwin)
-        if self.weight is None:
-            self.weight = np.zeros(nwin)
-        if self.sum_e0 is None:
-            self.sum_e0 = np.zeros(nwin)
-        if self.power_sums is None:
-            self.power_sums = np.zeros((nwin, 4))
-        if self.hist is None:
-            self.hist = np.zeros((nwin, nbin))
+    n_kappa: np.ndarray = _sum("win")
+    weight: np.ndarray = _sum("win")
+    sum_e0: np.ndarray = _sum("win")
+    power_sums: np.ndarray = _sum("win", 4)  # sum of w * e^p, p = 1..4
+    hist: np.ndarray = _sum("win", "bin")
 
     # -- accumulation ------------------------------------------------------
 
@@ -149,8 +171,6 @@ class StrengthReport:
         powers = np.array([e_hat, e_hat**2, e_hat**3, e_hat**4])
         for i, (lo, hi) in enumerate(self.windows):
             sel = (e0_hat >= lo) & (e0_hat < hi)
-            if not np.any(sel):
-                continue
             w = overlap_sq[sel].sum(axis=0)
             self.n_kappa[i] += int(np.count_nonzero(sel))
             self.weight[i] += float(w.sum())
@@ -159,29 +179,11 @@ class StrengthReport:
             self.hist[i] += np.histogram(e_hat, bins=self.edges, weights=w)[0]
         self.member_count += 1
 
-    def merge(self, other: "StrengthReport") -> "StrengthReport":
-        if not (np.array_equal(self.windows, other.windows) and np.array_equal(self.edges, other.edges)):
-            raise ValueError("cannot merge reports with different windows or grids")
-        return StrengthReport(
-            self.windows.copy(),
-            self.edges.copy(),
-            self.member_count + other.member_count,
-            self.n_kappa + other.n_kappa,
-            self.weight + other.weight,
-            self.sum_e0 + other.sum_e0,
-            self.power_sums + other.power_sums,
-            self.hist + other.hist,
-        )
-
     # -- derived views -----------------------------------------------------
 
     @property
     def window_centers(self) -> np.ndarray:
         return self.windows.mean(axis=1)
-
-    @property
-    def bin_centers(self) -> np.ndarray:
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
 
     @property
     def e0_mean(self) -> np.ndarray:
@@ -236,20 +238,30 @@ def window_predictions(
     return {key: np.asarray(v) for key, v in cols.items()}
 
 
+def predicted_f_values(report: StrengthReport, qs: QParameterSet) -> np.ndarray:
+    """Benchmark density f_CqN(x | e0_mean; xi, q_hv) per window at the bin centers.
+
+    The counterpart of report.f_values(); rows of empty windows are nan.
+    """
+    out = np.full(report.hist.shape, np.nan)
+    for i, e0 in enumerate(report.e0_mean):
+        if not math.isnan(e0):
+            out[i] = f_cqn(report.bin_centers, float(e0), qs.xi, qs.q_hv)
+    return out
+
+
 def strength_l1(report: StrengthReport, qs: QParameterSet) -> np.ndarray:
     """L1 distance per window between binned strength and the conditional q-normal.
 
-    The benchmark density f_CqN(x | e0_mean; xi, q_hv) is evaluated at the bin
-    centers, so this measures both statistical noise and binning resolution.
+    The benchmark density is evaluated at the bin centers, so this measures both
+    statistical noise and binning resolution.
     """
-    f_emp = report.f_values()
+    f_emp, bench = report.f_values(), predicted_f_values(report, qs)
     widths = np.diff(report.edges)
     out = np.full(len(report.windows), np.nan)
-    for i, e0 in enumerate(report.e0_mean):
-        if math.isnan(e0) or not np.all(np.isfinite(f_emp[i])):
-            continue
-        bench = f_cqn(report.bin_centers, float(e0), qs.xi, qs.q_hv)
-        out[i] = float(np.sum(np.abs(f_emp[i] - bench) * widths))
+    for i in range(len(out)):
+        if np.all(np.isfinite(f_emp[i])) and np.all(np.isfinite(bench[i])):
+            out[i] = float(np.sum(np.abs(f_emp[i] - bench[i]) * widths))
     return out
 
 
@@ -272,7 +284,7 @@ def centroid_slope(report: StrengthReport, e0_max: float | None = None) -> float
 
 
 @dataclass
-class ChaosMeasures:
+class ChaosMeasures(_Sums):
     """Binned number of principal components and information entropy.
 
     Per H eigenstate, ipr = sum_kappa W^2 and ent = -sum_kappa W ln W over its
@@ -283,19 +295,9 @@ class ChaosMeasures:
 
     edges: np.ndarray
     member_count: int = 0
-    count: np.ndarray | None = None
-    ipr_sum: np.ndarray | None = None
-    ent_sum: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        self.edges = np.asarray(self.edges, dtype=float)
-        nbin = len(self.edges) - 1
-        if self.count is None:
-            self.count = np.zeros(nbin)
-        if self.ipr_sum is None:
-            self.ipr_sum = np.zeros(nbin)
-        if self.ent_sum is None:
-            self.ent_sum = np.zeros(nbin)
+    count: np.ndarray = _sum("bin")
+    ipr_sum: np.ndarray = _sum("bin")
+    ent_sum: np.ndarray = _sum("bin")
 
     def add_member(self, e_hat: np.ndarray, overlap_sq: np.ndarray) -> None:
         ipr = np.sum(overlap_sq**2, axis=0)
@@ -306,21 +308,6 @@ class ChaosMeasures:
         self.ipr_sum += np.histogram(e_hat, bins=self.edges, weights=ipr)[0]
         self.ent_sum += np.histogram(e_hat, bins=self.edges, weights=ent)[0]
         self.member_count += 1
-
-    def merge(self, other: "ChaosMeasures") -> "ChaosMeasures":
-        if not np.array_equal(self.edges, other.edges):
-            raise ValueError("cannot merge chaos measures with different grids")
-        return ChaosMeasures(
-            self.edges.copy(),
-            self.member_count + other.member_count,
-            self.count + other.count,
-            self.ipr_sum + other.ipr_sum,
-            self.ent_sum + other.ent_sum,
-        )
-
-    @property
-    def bin_centers(self) -> np.ndarray:
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
 
     def npc(self) -> np.ndarray:
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -447,7 +434,7 @@ def _reduced(traces: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class BivariateMomentAccumulator:
+class BivariateMomentAccumulator(_Sums):
     """Sums of per-member centered traces (1/d) tr(H0^P H^Q), P + Q <= 4.
 
     A member enters as its H0 eigenvalues e0, H eigenvalues e and strength
@@ -458,9 +445,9 @@ class BivariateMomentAccumulator:
     """
 
     member_count: int = 0
-    trace_sums: np.ndarray = _zeros(12)  # T20 T11 T02 T30 T21 T12 T03 T40 T31 T22 T13 T04
-    value_sums: np.ndarray = _zeros(6)  # per-member reduced moments, _REDUCED_NAMES order
-    value_sq_sums: np.ndarray = _zeros(6)
+    trace_sums: np.ndarray = _sum(12)  # T20 T11 T02 T30 T21 T12 T03 T40 T31 T22 T13 T04
+    value_sums: np.ndarray = _sum(6)  # per-member reduced moments, _REDUCED_NAMES order
+    value_sq_sums: np.ndarray = _sum(6)
 
     def add_member(self, e0: np.ndarray, e: np.ndarray, overlap_sq: np.ndarray) -> None:
         d = len(e0)
@@ -478,14 +465,6 @@ class BivariateMomentAccumulator:
         self.value_sums += vals
         self.value_sq_sums += vals**2
         self.member_count += 1
-
-    def merge(self, other: "BivariateMomentAccumulator") -> "BivariateMomentAccumulator":
-        return BivariateMomentAccumulator(
-            self.member_count + other.member_count,
-            self.trace_sums + other.trace_sums,
-            self.value_sums + other.value_sums,
-            self.value_sq_sums + other.value_sq_sums,
-        )
 
     def finalize(self) -> EmpiricalBivariateMoments:
         if self.member_count == 0:

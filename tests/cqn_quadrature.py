@@ -1,0 +1,56 @@
+"""Adaptive-quadrature oracles for the conditional q-normal density.
+
+These are the slow, independent cross-checks of qstrength.qnormal: scipy's
+adaptive quad integrates f_CqN(x | y; xi, q) against polynomials in x, with no
+shared code path with the closed forms they check.  They live with the tests so
+that the package itself does not depend on scipy.
+"""
+
+import numpy as np
+from scipy.integrate import quad
+
+from qstrength.qnormal import QuadratureError, _check_q, _check_xi, f_cqn, q_hermite, support
+
+
+def _quad_cqn(func, y: float, xi: float, q: float, tol: float) -> float:
+    sup = support(q)
+    lo, hi = (-np.inf, np.inf) if sup.is_infinite else (sup.lo, sup.hi)
+    val, err = quad(
+        lambda x: func(x) * f_cqn(x, y, xi, q),
+        lo,
+        hi,
+        epsabs=0.1 * tol,
+        epsrel=0.1 * tol,
+        limit=400,
+    )
+    if err > tol:
+        raise QuadratureError(f"integral error estimate {err:.3e} exceeds tolerance {tol:.3e}")
+    return val
+
+
+def cqn_moment_quadrature(order: int, y: float, xi: float, q: float, tol: float = 1e-8) -> float:
+    """Central moment E[(x - xi*y)^order] of f_CqN by adaptive quadrature.
+
+    Order 0 returns the normalization integral.  Raises QuadratureError when
+    the integrator's error estimate exceeds tol.  This is the slow, independent
+    cross-check for the closed forms in cqn_conditional_moments.
+    """
+    if order < 0:
+        raise ValueError("moment order must be >= 0")
+    q = _check_q(q)
+    xi = _check_xi(xi)
+    mean = xi * float(y)
+    return _quad_cqn(lambda x: (x - mean) ** order, y, xi, q, tol)
+
+
+def verify_cqn_reproducing(n: int, y: float, xi: float, q: float, tol: float = 1e-8) -> float:
+    """Residual |integral(H_n(x|q) f_CqN(x|y)) - xi^n H_n(y|q)|.
+
+    The conditional density reproduces q-Hermite polynomials with eigenvalue
+    xi^n; the returned residual is the quadrature-measured violation.
+    """
+    q = _check_q(q)
+    xi = _check_xi(xi)
+    lhs = _quad_cqn(lambda x: q_hermite(n, x, q), y, xi, q, tol)
+    rhs = xi**n * q_hermite(n, float(y), q)
+    return abs(lhs - rhs)

@@ -12,18 +12,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from cqn_quadrature import cqn_moment_quadrature, verify_cqn_reproducing
 from test_bca import TABLE_A, TABLE_B
 
 from qstrength import bca, fock, spectral
 from qstrength.ensemble import RunConfig, run_ensemble
-from qstrength.qnormal import (
-    cqn_conditional_moments,
-    cqn_moment_quadrature,
-    f_cqn,
-    f_qn,
-    support,
-    verify_cqn_reproducing,
-)
+from qstrength.qnormal import cqn_conditional_moments, f_cqn, f_qn, support
 
 
 def gate(label: str, ok: bool, detail: str) -> None:

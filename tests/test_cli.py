@@ -177,6 +177,12 @@ def subprocess_env() -> dict:
     return os.environ | {"PYTHONPATH": path}
 
 
+def cli_subprocess(argv, **env) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter, with extra environment variables."""
+    return subprocess.run([sys.executable, "-m", "qstrength.cli", *argv],
+                          env=subprocess_env() | env, capture_output=True, text=True)
+
+
 def sim_outputs(tmp_path: Path):
     return sorted(p.name for p in tmp_path.iterdir())
 
@@ -267,12 +273,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("flag", ["--windows=,", "--window-width=0"])
     def test_bad_run_config_exits_without_traceback(self, tmp_path, flag):
-        script = (
-            "from qstrength import cli\n"
-            f"cli.main({SIM_ARGS + [flag, '--check', '--out', str(tmp_path)]!r})\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", script], env=subprocess_env(),
-                              capture_output=True, text=True)
+        proc = cli_subprocess(SIM_ARGS + [flag, "--check", "--out", str(tmp_path)])
         assert proc.returncode != 0
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("bad simulate config:") and proc.stderr.count("\n") == 1
@@ -305,14 +306,62 @@ class TestSimulate:
         )
 
 
+@pytest.mark.parametrize("command", ["simulate", "params", "npc"])
+@pytest.mark.parametrize("system, coupling, reason", [
+    # m > N: the system is rejected before a coupling is solved for
+    ((8, 9, 1, 2), ["--xi-sq", "0.5"], "need t < k <= m <= N"),
+    ((8, 9, 1, 2), ["--lambda", "0.5"], "need t < k <= m <= N"),
+    ((8, 4, 1, 2), ["--xi-sq", "0"], "strictly between 0 and 1"),
+], ids=["m>N-xi_sq", "m>N-lam", "xi_sq=0"])
+def test_invalid_system_exits_without_traceback(tmp_path, command, system, coupling, reason):
+    flags = [f"--{name}={value}" for name, value in zip("Nmtk", system)]
+    proc = cli_subprocess([command, *flags, *coupling, "--out", str(tmp_path / "out")])
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and reason in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@pytest.mark.skipif(_usable_cpus() < 2, reason="a threaded BLAS needs at least 2 CPUs")
+@pytest.mark.parametrize("system", [(12, 6, 1, 2), (10, 5, 2, 3)], ids=["t1-d924", "t2-d252"])
+def test_blas_thread_count_does_not_change_bytes(tmp_path, system):
+    # t = 1 diagonalizes only H (d = 924 is large enough for threaded kernels);
+    # t = 2 also runs the d x d H0 eigensolve
+    flags = [f"--{name}={value}" for name, value in zip("Nmtk", system)]
+    argv = ["simulate", *flags, "--xi-sq", "0.5", "--members", "3", "--seed", "9", "--moments"]
+    for threads in ("1", "2"):
+        proc = cli_subprocess(argv + ["--out", str(tmp_path / threads)],
+                              OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+    names = sim_outputs(tmp_path / "1")
+    assert names == sim_outputs(tmp_path / "2") and "bivariate.csv" in names
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
+
 def test_npc_and_simulate_do_not_import_scipy(tmp_path):
+    # scipy is a test-only dependency: no module and no command may load it
     script = (
-        "import sys\n"
+        "import importlib, pkgutil, sys\n"
+        "import qstrength\n"
+        "for mod in pkgutil.iter_modules(qstrength.__path__):\n"
+        "    importlib.import_module('qstrength.' + mod.name)\n"
         "from qstrength import cli\n"
         "flags = ['--N', '8', '--m', '4', '--t', '1', '--k', '2', '--xi-sq', '0.5']\n"
-        f"assert cli.main(['npc', *flags, '--out', {str(tmp_path / 'npc.csv')!r}]) == 0\n"
-        "assert cli.main(['simulate', *flags, '--members', '2',"
-        f" '--out', {str(tmp_path / 'sim')!r}]) == 0\n"
+        f"out = {str(tmp_path)!r}\n"
+        "assert cli.main(['tables', '--out', out + '/tables']) == 0\n"
+        "assert cli.main(['params', *flags, '--out', out + '/params']) == 0\n"
+        "assert cli.main(['qnormal', '--q', '0.5', '--y', '1', '--xi', '0.7',"
+        " '--out', out + '/qnormal.csv']) == 0\n"
+        "assert cli.main(['npc', *flags, '--out', out + '/npc.csv']) == 0\n"
+        "assert cli.main(['simulate', *flags, '--members', '2', '--moments',"
+        " '--out', out + '/sim']) == 0\n"
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], env=subprocess_env(),

@@ -62,7 +62,7 @@ def test_uncoupled_member_overlaps_are_exactly_zero_or_one(system):
         wsq = member_spectra(cfg, member).overlap_sq
         assert np.all((wsq == 0.0) | (wsq == 1.0))
         assert np.all(wsq.sum(axis=0) == 1.0) and np.all(wsq.sum(axis=1) == 1.0)
-        _, chaos, _, err = run_member(cfg, member)
+        (_, chaos), err = run_member(cfg, member)
         seen = chaos.count > 0
         assert err is None
         assert np.all(chaos.npc()[seen] == 1.0) and np.all(chaos.s_info()[seen] == 0.0)
@@ -84,6 +84,6 @@ def test_one_many_body_eigensolve_for_one_body_mean_field(monkeypatch, system, e
     monkeypatch.setattr(spectral, "diagonalize", counted_diagonalize)
     monkeypatch.setattr(fock, "embed_k_body", counted_embed)
     N, m, t, k = system
-    strength, _, _, err = run_member(RunConfig(N=N, m=m, t=t, k=k, xi_sq_target=0.5, seed=3), 0)
+    (strength, _), err = run_member(RunConfig(N=N, m=m, t=t, k=k, xi_sq_target=0.5, seed=3), 0)
     assert err is None and strength.member_count == 1
     assert calls == {"diagonalize": eigensolves, "embed": embeddings}
