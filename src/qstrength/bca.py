@@ -26,7 +26,7 @@ All binomials are exact integers; out-of-range binomials count zero ways.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 __all__ = [
     "SystemParams",
@@ -45,6 +45,7 @@ __all__ = [
     "trace_variance",
     "xi_sq_finite",
     "lam_for_xi_sq",
+    "resolve_system",
     "q_h_finite",
     "q_v_finite",
     "q_hv_finite",
@@ -96,6 +97,18 @@ class SystemParams:
     @property
     def dim(self) -> int:
         return binom(self.N, self.m)
+
+    @property
+    def xi_sq_finite(self) -> float:
+        return xi_sq_finite(self.N, self.m, self.t, self.k, self.lam)
+
+    @property
+    def qs_finite(self) -> QParameterSet | None:
+        """Finite-N q parameters, or None when predictions do not apply (xi^2 not in (0, 1))."""
+        xi_sq = self.xi_sq_finite
+        if not 0.0 < xi_sq < 1.0:
+            return None
+        return q_params_finite(self.N, self.m, self.t, self.k, xi_sq)
 
 
 @dataclass(frozen=True)
@@ -291,6 +304,19 @@ def lam_for_xi_sq(N: int, m: int, t: int, k: int, xi_sq: float) -> float:
     return math.sqrt((1.0 - xi_sq) / xi_sq * ratio)
 
 
+def resolve_system(N: int, m: int, t: int, k: int, lam=None, xi_sq=None) -> SystemParams:
+    """The system with coupling lam, or with the lam that realizes the finite-N xi_sq.
+
+    Exactly one coupling is given; N, m, t, k are validated before any is solved for.
+    """
+    if (lam is None) == (xi_sq is None):
+        raise ValueError("set exactly one of the couplings lam and xi_sq")
+    params = SystemParams(N, m, t, k)
+    if xi_sq is not None:
+        lam = lam_for_xi_sq(N, m, t, k, xi_sq)
+    return replace(params, lam=lam)
+
+
 def q_params_finite(N: int, m: int, t: int, k: int, xi_sq: float) -> QParameterSet:
     """Finite-N shape parameters with the same q_H composition as the dilute limit."""
     q_h = q_h_finite(N, m, t)
@@ -383,19 +409,17 @@ def composition_table_rows(systems=((12, 6), (24, 8), (40, 12)), ks=(2, 3, 4)) -
     rows = []
     for N, m in systems:
         for k in ks:
-            q_h = q_h_finite(N, m, t)
-            q_v = q_v_finite(N, m, k)
-            q_hv = q_hv_finite(N, m, t, k)
+            qs = q_params_finite(N, m, t, k, 0.5)
             rows.append(
                 {
                     "N": N,
                     "m": m,
                     "t": t,
                     "k": k,
-                    "q_h": q_h,
-                    "q_v": q_v,
-                    "q_hv": q_hv,
-                    "q_H": _compose_q_big(q_h, q_v, q_hv, 0.5),
+                    "q_h": qs.q_h,
+                    "q_v": qs.q_v,
+                    "q_hv": qs.q_hv,
+                    "q_H": qs.q_H,
                 }
             )
     return rows

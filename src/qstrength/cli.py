@@ -1,17 +1,17 @@
 """Command-line front end: table reproduction, parameter queries, density
 evaluation, Monte-Carlo simulation, and the analytic NPC curve.
 
-Every command is a pure function of (config, seed): rerunning with the same
-inputs produces byte-identical files.  CSV output carries '#'-prefixed
-metadata lines (tool version, config hash, seed) and no timestamps.  Numeric
-columns are printed at 6 significant digits; table commands add 3-decimal
-display columns for diffing against the printed references.
+argparse resolves each option: a --config file's keys (the option names with
+underscores) become the command's defaults, so flags win and every value is
+parsed as its flag's; bca.resolve_system then turns the values into a system.
+Every command is a pure function of (config, seed) and reruns byte-identically:
+'#' metadata lines (tool version, config hash, seed), no timestamps, 6
+significant digits, and 3-decimal display columns for diffing the tables.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import sys
 from pathlib import Path
@@ -75,8 +75,9 @@ def _parse_centers(text: str) -> tuple[float, ...]:
         raise SystemExit(f"bad window list {text!r}; expected comma-separated numbers")
 
 
-def _load_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _load_config_file(path: str, keys) -> dict:
+    """The file's values for keys, as strings for the flags' own types; other keys are ignored."""
+    values: dict = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -84,7 +85,10 @@ def _load_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise SystemExit(f"bad config line {raw!r}; expected key=value")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        if key.strip() in keys:
+            values[key.strip()] = value.strip()
+    if "moments" in values:  # a flag without a value, so it has no type to convert with
+        values["moments"] = values["moments"].lower() in ("1", "true", "yes")
     return values
 
 
@@ -92,36 +96,24 @@ def _load_config_file(path: str) -> dict[str, str]:
 # tables
 
 
-def _with_display(columns: list[str], rows: list[dict], display: list[str]):
-    names = columns + [f"{c}_3dp" for c in display]
-    out_rows = [
-        [row[c] for c in columns] + [format(row[c], ".3f") for c in display] for row in rows
-    ]
-    return names, out_rows
-
-
 def cmd_tables(args) -> int:
-    which = args.which
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-    if which in ("1", "both"):
-        rows = []
-        for N, m in ((20, 8), (50, 10)):
-            rows.extend(bca.delta_table_rows(N, m))
-        columns = ["N", "m", "t", "k", "q_h", "q_h_inf", "q_v", "q_v_inf", "q_hv", "q_hv_inf",
-                   "delta_0", "delta_1", "delta_2"]
-        display = columns[4:]
-        meta = _meta_lines({"table": 1})
-        names, out_rows = _with_display(columns, rows, display)
-        _write_csv(out_dir / "table1.csv" if out_dir else None, meta, names, out_rows)
-    if which in ("2", "both"):
-        rows = bca.composition_table_rows()
-        columns = ["N", "m", "t", "k", "q_h", "q_v", "q_hv", "q_H"]
-        display = columns[4:]
-        meta = _meta_lines({"table": 2})
-        names, out_rows = _with_display(columns, rows, display)
-        _write_csv(out_dir / "table2.csv" if out_dir else None, meta, names, out_rows)
+    tables = (
+        ("1", lambda: bca.delta_table_rows(20, 8) + bca.delta_table_rows(50, 10),
+         ["N", "m", "t", "k", "q_h", "q_h_inf", "q_v", "q_v_inf", "q_hv", "q_hv_inf",
+          "delta_0", "delta_1", "delta_2"]),
+        ("2", bca.composition_table_rows, ["N", "m", "t", "k", "q_h", "q_v", "q_hv", "q_H"]),
+    )
+    for which, rows, columns in tables:
+        if args.which in (which, "both"):
+            display = columns[4:]
+            out_rows = [[row[c] for c in columns] + [format(row[c], ".3f") for c in display]
+                        for row in rows()]
+            _write_csv(out_dir / f"table{which}.csv" if out_dir else None,
+                       _meta_lines({"table": int(which)}),
+                       columns + [f"{c}_3dp" for c in display], out_rows)
     return 0
 
 
@@ -129,28 +121,27 @@ def cmd_tables(args) -> int:
 # params
 
 
-def _coupling_block(N, m, t, k, lam, xi_sq_target):
-    """Key-value rows describing the system in both variance conventions.
-
-    A bad system exits with one line before any coupling is solved for.
-    """
-    rows: list[tuple[str, object]] = [("N", N), ("m", m), ("t", t), ("k", k)]
+def _system(args) -> bca.SystemParams:
+    """The system the flags define; a bad one exits with one line."""
     try:
-        params = bca.SystemParams(N, m, t, k)
-        if xi_sq_target is not None:
-            lam = bca.lam_for_xi_sq(N, m, t, k, xi_sq_target)
-            lam_inf = bca.lam_from_bold(
-                bca.lambda_thermo(m, t, k) * (1.0 / xi_sq_target - 1.0), N, t, k
-            )
-            rows += [("xi_sq_target", xi_sq_target), ("lambda_infinite_n", lam_inf),
-                     ("lambda_finite_n", lam)]
-        else:
-            rows.append(("lambda", lam))
-        params = dataclasses.replace(params, lam=lam)
+        return bca.resolve_system(args.N, args.m, args.t, args.k, args.lam, args.xi_sq)
     except ValueError as exc:
         raise SystemExit(f"bad system: {exc}")
+
+
+def _coupling_block(params: bca.SystemParams, xi_sq_target):
+    """Key-value rows describing a resolved system in both variance conventions."""
+    N, m, t, k = params.N, params.m, params.t, params.k
+    rows: list[tuple[str, object]] = [("N", N), ("m", m), ("t", t), ("k", k)]
+    if xi_sq_target is not None:
+        bold_sq = bca.lambda_thermo(m, t, k) * (1.0 / xi_sq_target - 1.0)
+        lam_inf = bca.lam_from_bold(bold_sq, N, t, k)
+        rows += [("xi_sq_target", xi_sq_target), ("lambda_infinite_n", lam_inf),
+                 ("lambda_finite_n", params.lam)]
+    else:
+        rows.append(("lambda", params.lam))
     xi_sq_inf = bca.xi_infinite(params) ** 2
-    xi_sq_fin = bca.xi_sq_finite(N, m, t, k, lam)
+    xi_sq_fin = params.xi_sq_finite
     rows += [
         ("dim", params.dim),
         ("bold_lambda_sq", bca.bold_lambda_sq(params)),
@@ -162,31 +153,28 @@ def _coupling_block(N, m, t, k, lam, xi_sq_target):
                       ("finite", bca.q_params_finite(N, m, t, k, xi_sq_fin))):
         rows += [(f"q_h_{label}", qs.q_h), (f"q_v_{label}", qs.q_v),
                  (f"q_hv_{label}", qs.q_hv), (f"q_big_h_{label}", qs.q_H)]
-    return rows, params, xi_sq_fin
-
-
-def _prediction_rows(N, m, t, k, xi_sq, e_hats):
-    qs = bca.q_params_finite(N, m, t, k, xi_sq)
-    rows = []
-    for e_hat in e_hats:
-        p = bca.strength_moment_prediction(e_hat, qs, m, t, k)
-        rows.append([e_hat, p.centroid, p.variance, p.gamma1, p.gamma2, p.mu4_leading, p.delta])
     return rows
 
 
+def _config_items(args, keys) -> dict:
+    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+
+
 def cmd_params(args) -> int:
-    cfg = _merged(args, _PARAM_KEYS)
-    N, m, t, k = cfg["N"], cfg["m"], cfg["t"], cfg["k"]
-    rows, params, xi_sq_fin = _coupling_block(N, m, t, k, cfg["lam"], cfg["xi_sq"])
-    enabled = params.lam > 0.0 and 0.0 < xi_sq_fin < 1.0
-    rows.append(("predictions_enabled", enabled))
-    meta = _meta_lines({key: cfg[key] for key in _PARAM_KEYS if cfg[key] is not None})
+    params = _system(args)
+    qs = params.qs_finite
+    rows = _coupling_block(params, args.xi_sq) + [("predictions_enabled", qs is not None)]
+    meta = _meta_lines(_config_items(args, _PARAM_KEYS))
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "params.csv" if out_dir else None, meta, ["key", "value"], rows)
-    if enabled:
-        pred = _prediction_rows(N, m, t, k, xi_sq_fin, cfg["windows"])
+    if qs is not None:
+        pred = []
+        for e_hat in args.windows:
+            p = bca.strength_moment_prediction(e_hat, qs, params.m, params.t, params.k)
+            pred.append([e_hat, p.centroid, p.variance, p.gamma1, p.gamma2,
+                         p.mu4_leading, p.delta])
         _write_csv(
             out_dir / "predictions.csv" if out_dir else None,
             meta,
@@ -206,13 +194,16 @@ def cmd_qnormal(args) -> int:
     items = {"grid": args.grid, "q": args.q}
     if (args.y is None) != (args.xi is None):
         raise SystemExit("--y and --xi must be supplied together")
-    if args.y is not None:
-        items |= {"y": args.y, "xi": args.xi}
-        f = qnormal.f_cqn(x, args.y, args.xi, args.q)
-        columns = ["x", "f_cqn"]
-    else:
-        f = qnormal.f_qn(x, args.q)
-        columns = ["x", "f_qn"]
+    try:
+        if args.y is not None:
+            items |= {"y": args.y, "xi": args.xi}
+            f = qnormal.f_cqn(x, args.y, args.xi, args.q)
+            columns = ["x", "f_cqn"]
+        else:
+            f = qnormal.f_qn(x, args.q)
+            columns = ["x", "f_qn"]
+    except ValueError as exc:
+        raise SystemExit(f"bad qnormal input: {exc}")
     _write_csv(
         Path(args.out) if args.out else None,
         _meta_lines(items),
@@ -227,19 +218,16 @@ def cmd_qnormal(args) -> int:
 
 
 def cmd_npc(args) -> int:
-    cfg = _merged(args, _PARAM_KEYS)
-    N, m, t, k = cfg["N"], cfg["m"], cfg["t"], cfg["k"]
-    _, params, xi_sq_fin = _coupling_block(N, m, t, k, cfg["lam"], cfg["xi_sq"])
-    if not 0.0 < xi_sq_fin < 1.0:
+    params = _system(args)
+    qs = params.qs_finite
+    if qs is None:
         raise SystemExit("NPC curve needs 0 < xi^2 < 1 (nonzero coupling)")
-    qs = bca.q_params_finite(N, m, t, k, xi_sq_fin)
-    lo, hi, n = _parse_grid(cfg["grid"])
+    lo, hi, n = _parse_grid(args.grid)
     x = np.linspace(lo, hi, n)
     values = spectral.npc_integral(x, qs, dim=params.dim)
-    meta = _meta_lines({key: cfg[key] for key in _PARAM_KEYS if cfg[key] is not None})
     _write_csv(
         Path(args.out) if args.out else None,
-        meta,
+        _meta_lines(_config_items(args, _PARAM_KEYS)),
         ["x", "npc"],
         zip(x.tolist(), values.tolist()),
     )
@@ -250,13 +238,13 @@ def cmd_npc(args) -> int:
 # simulate
 
 
-def _run_config(cfg: dict) -> ensemble.RunConfig:
-    lo, hi, n = _parse_grid(cfg["grid"])
+def _run_config(args) -> ensemble.RunConfig:
+    lo, hi, n = _parse_grid(args.grid)
     try:
         return ensemble.RunConfig(
-            N=cfg["N"], m=cfg["m"], t=cfg["t"], k=cfg["k"],
+            N=args.N, m=args.m, t=args.t, k=args.k,
             grid_lo=lo, grid_hi=hi, grid_bins=n,
-            **{field: cfg[key] for key, field in _RUN_FIELDS.items()},
+            **{field: getattr(args, key) for key, field in _RUN_FIELDS.items()},
         )
     except ValueError as exc:
         raise SystemExit(f"bad simulate config: {exc}")
@@ -288,35 +276,26 @@ def _moment_rows(rep: spectral.StrengthReport, qs: bca.QParameterSet, m, t, k):
 
 
 def cmd_simulate(args) -> int:
-    cfg = _merged(args, _SIM_KEYS)
-    run_cfg = _run_config(cfg)
+    run_cfg = _run_config(args)
     result = ensemble.run_ensemble(run_cfg)
     if len(result.failures) > 0.01 * run_cfg.members:
         for member, message in result.failures:
             print(f"failed member {member} (seed {run_cfg.seed}): {message}", file=sys.stderr)
         raise SystemExit(f"{len(result.failures)} of {run_cfg.members} members failed (>1%)")
-    out_dir = Path(cfg["out"] or ".")
+    out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     # The hash covers only result-determining config: execution details like
     # worker count or output directory must not change the emitted bytes.
-    config_items = {
-        key: cfg[key]
-        for key in _SIM_KEYS
-        if cfg[key] is not None and key not in ("workers", "out")
-    }
-    meta = _meta_lines(config_items, seed=run_cfg.seed)
+    hashed = set(_SIM_KEYS) - {"workers", "out"}
+    meta = _meta_lines(_config_items(args, hashed), seed=run_cfg.seed)
 
-    rows, params, xi_sq_fin = _coupling_block(
-        run_cfg.N, run_cfg.m, run_cfg.t, run_cfg.k, cfg["lam"], cfg["xi_sq"]
-    )
-    enabled = params.lam > 0.0 and 0.0 < xi_sq_fin < 1.0
-    rows.append(("predictions_enabled", enabled))
-    rows.append(("members_failed", len(result.failures)))
+    qs = result.qs_finite
+    rows = _coupling_block(result.system, args.xi_sq) + [
+        ("predictions_enabled", qs is not None), ("members_failed", len(result.failures))]
     _write_csv(out_dir / "params.csv", meta, ["key", "value"], rows)
 
     rep, chaos = result.strength, result.chaos
-    if enabled:
-        qs = result.qs_finite
+    if qs is not None:
         _write_csv(
             out_dir / "strength_functions.csv", meta,
             ["window_center", "e0_mean", "x", "f_empirical", "f_predicted"],
@@ -329,7 +308,7 @@ def cmd_simulate(args) -> int:
              "gamma1", "gamma1_pred", "gamma2", "gamma2_pred", "l1_distance"],
             _moment_rows(rep, qs, run_cfg.m, run_cfg.t, run_cfg.k),
         )
-        npc_curve = spectral.npc_integral(chaos.bin_centers, qs, dim=params.dim)
+        npc_curve = spectral.npc_integral(chaos.bin_centers, qs, dim=result.system.dim)
     else:
         npc_curve = np.full(chaos.bin_centers.shape, np.nan)
     _write_csv(
@@ -358,7 +337,7 @@ def cmd_simulate(args) -> int:
             all_ok &= ok
         return 0 if all_ok else 1
     print(f"wrote {out_dir}/params.csv, npc.csv"
-          + (", strength_functions.csv, moments.csv" if enabled else "")
+          + (", strength_functions.csv, moments.csv" if qs is not None else "")
           + (", bivariate.csv" if result.moments is not None else ""))
     return 0
 
@@ -376,39 +355,9 @@ _RUN_FIELDS = {
     "members": "members", "seed": "seed", "window_width": "window_width",
     "workers": "workers", "moments": "with_moments",
 }
-_RUN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ensemble.RunConfig)}
-_DEFAULTS = {key: _RUN_DEFAULTS[field] for key, field in _RUN_FIELDS.items()} | {
-    "grid": "{grid_lo}:{grid_hi}:{grid_bins}".format(**_RUN_DEFAULTS),
-    "out": None,
+_DEFAULTS = {key: getattr(ensemble.RunConfig, field) for key, field in _RUN_FIELDS.items()} | {
+    "grid": "{0.grid_lo}:{0.grid_hi}:{0.grid_bins}".format(ensemble.RunConfig),
 }
-
-_PARSERS = {
-    "N": int, "m": int, "t": int, "k": int, "lam": float, "xi_sq": float,
-    "windows": _parse_centers, "grid": str, "members": int, "seed": int,
-    "window_width": float, "workers": int,
-    "moments": lambda s: s.lower() in ("1", "true", "yes"), "out": str,
-}
-
-
-def _merged(args, keys) -> dict:
-    """Resolve config values: flags beat the config file, which beats defaults."""
-    from_file = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    cfg = {}
-    for key in keys:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = flag
-        elif key in from_file:
-            cfg[key] = _PARSERS[key](from_file[key])
-        elif key in _DEFAULTS:
-            cfg[key] = _DEFAULTS[key]
-        else:
-            raise SystemExit(f"missing required option --{key.replace('_', '-')}")
-    if "lam" in cfg and cfg["lam"] is not None and cfg["xi_sq"] is not None:
-        raise SystemExit("supply only one of --lambda and --xi-sq")
-    if "lam" in cfg and cfg["lam"] is None and cfg["xi_sq"] is None:
-        raise SystemExit("supply one of --lambda and --xi-sq")
-    return cfg
 
 
 def _add_system_flags(p: argparse.ArgumentParser) -> None:
@@ -423,6 +372,7 @@ def _add_system_flags(p: argparse.ArgumentParser) -> None:
                    help="comma-separated window centers in standardized energy")
     p.add_argument("--grid", help="energy grid as lo:hi:count")
     p.add_argument("--config", help="key=value config file; flags override")
+    p.set_defaults(**{key: _DEFAULTS[key] for key in _PARAM_KEYS if key in _DEFAULTS})
 
 
 def main(argv=None) -> int:
@@ -458,12 +408,12 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int)
     p.add_argument("--window-width", dest="window_width", type=float)
     p.add_argument("--workers", type=int)
-    p.add_argument("--moments", action="store_const", const=True, default=None,
+    p.add_argument("--moments", action="store_const", const=True,
                    help="also accumulate bivariate trace moments")
     p.add_argument("--out", help="output directory (default current directory)")
     p.add_argument("--check", action="store_true",
                    help="print PASS/FAIL tolerance lines; nonzero exit on failure")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, **_DEFAULTS)
 
     p = sub.add_parser("npc", help="emit the analytic NPC curve for a system")
     _add_system_flags(p)
@@ -471,6 +421,15 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_npc)
 
     args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        # parse again with the file's values as defaults: flags still win, and
+        # each value goes through its flag's own type
+        keys = _SIM_KEYS if args.command == "simulate" else _PARAM_KEYS
+        sub.choices[args.command].set_defaults(**_load_config_file(args.config, keys))
+        args = parser.parse_args(argv)
+    for key in ("N", "m", "t", "k"):
+        if getattr(args, key, 0) is None:
+            raise SystemExit(f"missing required option --{key}")
     return args.func(args)
 
 

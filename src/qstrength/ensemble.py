@@ -29,7 +29,7 @@ which makes the final numbers byte-identical for any worker count.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -68,8 +68,6 @@ class RunConfig:
     with_moments: bool = False
 
     def __post_init__(self) -> None:
-        if (self.lam is None) == (self.xi_sq_target is None):
-            raise ValueError("set exactly one of lam and xi_sq_target")
         if self.members < 1:
             raise ValueError("members must be >= 1")
         if not self.window_centers:
@@ -82,17 +80,10 @@ class RunConfig:
             raise ValueError("grid_bins must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        self.system()  # validates N, m, t, k, then the resolved coupling
-
-    def resolved_lam(self) -> float:
-        if self.lam is not None:
-            return self.lam
-        return bca.lam_for_xi_sq(self.N, self.m, self.t, self.k, self.xi_sq_target)
+        self.system()  # exactly one coupling, then N, m, t, k, then the solved coupling
 
     def system(self) -> bca.SystemParams:
-        # SystemParams checks N, m, t, k before the coupling is solved for
-        params = bca.SystemParams(self.N, self.m, self.t, self.k)
-        return replace(params, lam=self.resolved_lam())
+        return bca.resolve_system(self.N, self.m, self.t, self.k, self.lam, self.xi_sq_target)
 
     def windows(self) -> np.ndarray:
         c = np.asarray(self.window_centers, dtype=float)
@@ -113,13 +104,8 @@ class EnsembleResult:
     failures: tuple[tuple[int, str], ...]
 
     @property
-    def xi_sq_finite(self) -> float:
-        return bca.xi_sq_finite(self.config.N, self.config.m, self.config.t, self.config.k, self.system.lam)
-
-    @property
-    def qs_finite(self) -> bca.QParameterSet:
-        c = self.config
-        return bca.q_params_finite(c.N, c.m, c.t, c.k, self.xi_sq_finite)
+    def qs_finite(self) -> bca.QParameterSet | None:
+        return self.system.qs_finite
 
 
 class MemberSpectra(NamedTuple):
@@ -149,7 +135,7 @@ def member_spectra(cfg: RunConfig, member: int) -> MemberSpectra:
     else:
         e0, u0 = spectral.diagonalize(fock.embed_k_body(g0, basis_m, basis_t))
         h = u0.T @ fock.embed_k_body(g1, basis_m, basis_k) @ u0
-    h *= cfg.resolved_lam()
+    h *= cfg.system().lam
     h.flat[:: basis_m.dim + 1] += e0
     e, u = spectral.diagonalize(h)
     return MemberSpectra(e0, e, spectral.overlaps(u))
@@ -223,12 +209,12 @@ def run_checks(result: EnsembleResult) -> list[tuple[str, bool, str]]:
         )
     )
     rep = result.strength
-    if result.system.lam == 0.0:
+    qs = result.qs_finite
+    if qs is None:
         npc = result.chaos.npc()
         good = np.nanmax(np.abs(npc - 1.0)) == 0.0 and np.nanmax(result.chaos.s_info()) == 0.0
         checks.append(("uncoupled-npc-unity", bool(good), "NPC=1, S_info=0 required at lam=0"))
         return checks
-    qs = result.qs_finite
     cfg = result.config
     xi = qs.xi
     mom = rep.window_moments()

@@ -29,6 +29,7 @@ from qstrength.bca import (
     q_params_finite,
     q_params_infinite,
     q_v_finite,
+    resolve_system,
     strength_moment_prediction,
     trace_variance,
     xi_infinite,
@@ -111,6 +112,23 @@ class TestSystemParams:
     def test_rejects_non_integer(self):
         with pytest.raises(TypeError):
             SystemParams(12.0, 6, 1, 2, 0.5)
+
+    @pytest.mark.parametrize("lam, xi_sq", [(None, None), (0.3, 0.5)])
+    def test_resolve_needs_exactly_one_coupling(self, lam, xi_sq):
+        with pytest.raises(ValueError, match="exactly one"):
+            resolve_system(12, 6, 1, 2, lam=lam, xi_sq=xi_sq)
+
+    def test_resolve_validates_system_before_solving(self):
+        # lam_for_xi_sq would divide by a zero weight at m > N
+        with pytest.raises(ValueError, match="need t < k <= m <= N"):
+            resolve_system(8, 9, 1, 2, xi_sq=0.5)
+
+    def test_resolve_solves_coupling_and_gates_predictions(self):
+        params = resolve_system(12, 6, 1, 2, xi_sq=0.5)
+        assert params.lam == lam_for_xi_sq(12, 6, 1, 2, 0.5)
+        assert params.xi_sq_finite == pytest.approx(0.5, rel=1e-12)
+        assert params.qs_finite == q_params_finite(12, 6, 1, 2, params.xi_sq_finite)
+        assert resolve_system(12, 6, 1, 2, lam=0.0).qs_finite is None
 
 
 class TestInfiniteN:

@@ -129,6 +129,16 @@ class TestQnormal:
         with pytest.raises(SystemExit):
             run_cli(["qnormal", "--q", "0.5", "--y", "1.0"])
 
+    @pytest.mark.parametrize("argv", [
+        ["--q", "1.5"], ["--q", "0.5", "--y", "5", "--xi", "0.7"],
+        ["--q", "0.5", "--y", "0", "--xi", "1.2"],
+    ], ids=["q>1", "y-outside-support", "xi>1"])
+    def test_out_of_range_input_exits_without_traceback(self, argv):
+        proc = cli_subprocess(["qnormal", *argv])
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("bad qnormal input:") and proc.stderr.count("\n") == 1
+
     def test_conditional_density_grid(self):
         code, out, _ = run_cli(
             ["qnormal", "--q=0.5", "--y=-1.0", "--xi=0.7071", "--grid=-3:3:7"]
@@ -250,6 +260,40 @@ class TestSimulate:
             c / "strength_functions.csv"
         ).read_bytes()
 
+    def test_config_file_values_parse_like_flags(self, tmp_path):
+        system = "N = 8\nm = 4\nt = 1\nk = 2\nxi_sq = 0.5\n"
+        run = "members = 2\nseed = 7\nwindows = -1,0,1\ngrid = -3.2:3.2:32\n"
+        cases = {
+            "plain": system + run,
+            # keys a command does not take, including argparse's own, are ignored
+            "unknown": system + run + "colour = red\nfunc = x\ncommand = npc\n",
+            "no-moments": system + run + "moments = false\n",
+        }
+        for name, text in cases.items():
+            (tmp_path / f"{name}.cfg").write_text(text)
+            code, _, _ = run_cli(["simulate", "--config", str(tmp_path / f"{name}.cfg"),
+                                  "--out", str(tmp_path / name)])
+            assert code == 0
+        plain = tmp_path / "plain"
+        for name in ("unknown", "no-moments"):
+            assert sim_outputs(tmp_path / name) == sim_outputs(plain)
+            for out in sim_outputs(plain):
+                assert (tmp_path / name / out).read_bytes() == (plain / out).read_bytes()
+        # params and npc read the same file as the same flags
+        flags = ["--N", "8", "--m", "4", "--t", "1", "--k", "2", "--xi-sq", "0.5",
+                 "--windows=-1,0,1", "--grid=-3.2:3.2:32"]
+        cfg = ["--config", str(tmp_path / "plain.cfg")]
+        for command in ("params", "npc"):
+            assert run_cli([command, *cfg]) == run_cli([command, *flags])
+        # a bad value is reported by the flag's own type, without a traceback
+        (tmp_path / "bad.cfg").write_text(system.replace("N = 8", "N = abc"))
+        proc = cli_subprocess(["simulate", "--config", str(tmp_path / "bad.cfg"),
+                               "--out", str(tmp_path / "bad")])
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        assert "argument --N: invalid int value: 'abc'" in proc.stderr
+        assert not (tmp_path / "bad").exists()
+
     def test_check_mode_uncoupled_run_passes(self, tmp_path, capsys):
         code, out, _ = run_cli(
             ["simulate", "--N", "8", "--m", "4", "--t", "1", "--k", "2",
@@ -312,9 +356,13 @@ class TestSimulate:
     ((8, 9, 1, 2), ["--xi-sq", "0.5"], "need t < k <= m <= N"),
     ((8, 9, 1, 2), ["--lambda", "0.5"], "need t < k <= m <= N"),
     ((8, 4, 1, 2), ["--xi-sq", "0"], "strictly between 0 and 1"),
-], ids=["m>N-xi_sq", "m>N-lam", "xi_sq=0"])
+    ((None, 4, 1, 2), ["--xi-sq", "0.5"], "missing required option --N"),
+    ((8, 4, 1, 2), [], "exactly one of the couplings lam and xi_sq"),
+    ((8, 4, 1, 2), ["--lambda", "0.5", "--xi-sq", "0.5"],
+     "exactly one of the couplings lam and xi_sq"),
+], ids=["m>N-xi_sq", "m>N-lam", "xi_sq=0", "no-N", "no-coupling", "both-couplings"])
 def test_invalid_system_exits_without_traceback(tmp_path, command, system, coupling, reason):
-    flags = [f"--{name}={value}" for name, value in zip("Nmtk", system)]
+    flags = [f"--{name}={value}" for name, value in zip("Nmtk", system) if value is not None]
     proc = cli_subprocess([command, *flags, *coupling, "--out", str(tmp_path / "out")])
     assert proc.returncode != 0
     assert "Traceback" not in proc.stderr

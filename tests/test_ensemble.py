@@ -21,7 +21,7 @@ def dense_oracle(cfg: RunConfig, member: int):
     basis_k = fock.build_basis(cfg.N, cfg.k)
     h0 = fock.embed_k_body(fock.sample_goe(basis_t.dim, cfg.seed, member, 0), basis_m, basis_t)
     v = fock.embed_k_body(fock.sample_goe(basis_k.dim, cfg.seed, member, 1), basis_m, basis_k)
-    h = h0 + cfg.resolved_lam() * v
+    h = h0 + cfg.system().lam * v
     _, u0 = np.linalg.eigh(h0)
     _, u1 = np.linalg.eigh(h)
     return h0, h, (u0.T @ u1) ** 2
