@@ -77,8 +77,12 @@ def _parse_centers(text: str) -> tuple[float, ...]:
 
 def _load_config_file(path: str, keys) -> dict:
     """The file's values for keys, as strings for the flags' own types; other keys are ignored."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SystemExit(f"bad config file: {exc}")
     values: dict = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -425,7 +429,12 @@ def main(argv=None) -> int:
         # parse again with the file's values as defaults: flags still win, and
         # each value goes through its flag's own type
         keys = _SIM_KEYS if args.command == "simulate" else _PARAM_KEYS
-        sub.choices[args.command].set_defaults(**_load_config_file(args.config, keys))
+        values = _load_config_file(args.config, keys)
+        if args.lam is not None or args.xi_sq is not None:
+            # a coupling flag replaces the file's coupling, whichever key it is
+            values.pop("lam", None)
+            values.pop("xi_sq", None)
+        sub.choices[args.command].set_defaults(**values)
         args = parser.parse_args(argv)
     for key in ("N", "m", "t", "k"):
         if getattr(args, key, 0) is None:

@@ -11,10 +11,12 @@ determinant is the parity of the number of (active, spectator) orbital pairs
 in crossing order.
 
 Embedding all pairs naively is slow, so the decomposition is precomputed once
-per (n_orb, m, r) as flat index/sign arrays ("plan"); embedding a particular
-coefficient matrix is then a single weighted bincount.  Bases and plans are
-made once per shape (functools.lru_cache), returned read-only, and shared by
-every ensemble member.
+per (n_orb, m, r) as a "plan": the position mu*dim + nu of each upper-triangle
+pair (mu <= nu) a spectator set links, and the index of its coefficient in the
+signed vector [w, -w], in the negated half when the phase product is -1.
+Embedding a coefficient matrix is then one gather, one weighted bincount and a
+mirror of the upper triangle.  Bases and plans are made once per shape
+(functools.lru_cache), returned read-only, and shared by every ensemble member.
 
 An orthogonal change of orbitals, new orbital j = sum_i O[i, j] (old orbital
 i), acts on rank-r determinants through the r-th compound matrix
@@ -115,10 +117,8 @@ def sample_goe(dim: int, master_seed: int, member: int, stream: int = 0) -> np.n
 
 @dataclass(frozen=True)
 class _EmbeddingPlan:
-    flat: np.ndarray  # mu*dim + nu positions in the embedded matrix
-    sign: np.ndarray  # +-1 phase products
-    row_a: np.ndarray  # active bra index in the rank-r basis
-    col_b: np.ndarray  # active ket index in the rank-r basis
+    flat: np.ndarray  # mu*dim + nu positions in the embedded matrix, mu <= nu
+    src: np.ndarray  # a*D + b, plus D*D when the phase product is -1
     dim: int
 
 
@@ -132,40 +132,37 @@ def _crossing_parity(active: tuple[int, ...], spectator_mask: int) -> int:
 
 @lru_cache(maxsize=8)
 def embedding_plan(n_orb: int, m: int, r: int) -> _EmbeddingPlan:
-    """Read-only decomposition of every rank-r embedding into the m-particle basis."""
+    """Read-only decomposition of every rank-r embedding, upper triangle only."""
     basis_m, basis_r = _basis(n_orb, m), _basis(n_orb, r)
-    d = basis_m.dim
+    d, dr = basis_m.dim, basis_r.dim
     idx_m, idx_r = basis_m.index, basis_r.index
-    flats, signs, rows, cols = [], [], [], []
+    src_dtype = np.int32 if 2 * dr * dr < 2**31 else np.intp
+    # every spectator set links C(n_orb - m + r, r) determinants
+    iu, ju = np.triu_indices(math.comb(n_orb - (m - r), r))
+    flats, srcs = [], []
     for gamma in itertools.combinations(range(n_orb), m - r):
         gmask = sum(1 << o for o in gamma)
         free = [o for o in range(n_orb) if not gmask >> o & 1]
-        mu_idx, act_idx, s = [], [], []
+        block = []
         for alpha in itertools.combinations(free, r):
             amask = sum(1 << o for o in alpha)
-            mu_idx.append(idx_m[amask | gmask])
-            act_idx.append(idx_r[amask])
-            s.append(-1 if _crossing_parity(alpha, gmask) else 1)
-        mu = np.asarray(mu_idx, dtype=np.int64)
-        act = np.asarray(act_idx, dtype=np.int32)
-        sv = np.asarray(s, dtype=np.int8)
-        n = len(mu)
-        flats.append((mu[:, None] * d + mu[None, :]).ravel())
-        signs.append((sv[:, None] * sv[None, :]).ravel())
-        rows.append(np.repeat(act, n))
-        cols.append(np.tile(act, n))
-    parts = [np.concatenate(a) for a in (flats, signs, rows, cols)]
+            block.append((idx_m[amask | gmask], idx_r[amask], _crossing_parity(alpha, gmask)))
+        block.sort()  # ascending mu, so the pairs iu <= ju have mu <= nu
+        mu, act, par = (np.array(col, dtype=np.intp) for col in zip(*block))
+        flats.append(mu[iu] * d + mu[ju])
+        srcs.append((act[iu] * dr + act[ju] + (par[iu] ^ par[ju]) * dr * dr).astype(src_dtype))
+    parts = (np.concatenate(flats), np.concatenate(srcs))
     for a in parts:
         a.flags.writeable = False
     return _EmbeddingPlan(*parts, d)
 
 
 def embed_k_body(coeffs: np.ndarray, basis_m: FockBasis, basis_r: FockBasis) -> np.ndarray:
-    """Embed a rank-r coefficient matrix into the m-particle determinant basis.
+    """Embed the symmetric part of a rank-r coefficient matrix into the m-particle basis.
 
     coeffs[a, b] multiplies B+(a) B(b) summed over all rank-r determinant pairs;
-    the result is the dense m-particle matrix.  Symmetric input gives an exactly
-    symmetric output.
+    the result is the dense m-particle matrix of (coeffs + coeffs^T) / 2, the
+    symmetric part of the embedded coeffs, and is exactly symmetric.
     """
     if basis_r.n_orb != basis_m.n_orb:
         raise ValueError("bases must share the orbital set")
@@ -174,11 +171,13 @@ def embed_k_body(coeffs: np.ndarray, basis_m: FockBasis, basis_r: FockBasis) -> 
     if coeffs.shape != (basis_r.dim, basis_r.dim):
         raise ValueError(f"coefficient matrix must be {basis_r.dim} x {basis_r.dim}")
     plan = embedding_plan(basis_m.n_orb, basis_m.n_part, basis_r.n_part)
-    vals = plan.sign * coeffs[plan.row_a, plan.col_b]
-    out = np.bincount(plan.flat, weights=vals, minlength=plan.dim**2).reshape(
-        plan.dim, plan.dim
-    )
-    return 0.5 * (out + out.T)
+    sym = 0.5 * (coeffs + coeffs.T)
+    signed = np.concatenate([sym.ravel(), -sym.ravel()])
+    upper = np.bincount(plan.flat, weights=signed.take(plan.src), minlength=plan.dim**2)
+    upper = upper.reshape(plan.dim, plan.dim)
+    out = upper + upper.T
+    np.fill_diagonal(out, upper.diagonal())  # the sum doubled it
+    return out
 
 
 # ---------------------------------------------------------------------------

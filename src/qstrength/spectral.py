@@ -301,9 +301,9 @@ class ChaosMeasures(_Sums):
 
     def add_member(self, e_hat: np.ndarray, overlap_sq: np.ndarray) -> None:
         ipr = np.sum(overlap_sq**2, axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.where(overlap_sq > 0.0, np.log(overlap_sq), 0.0)
-        ent = -np.sum(overlap_sq * logs, axis=0)
+        ent_terms = np.log(overlap_sq, out=np.zeros_like(overlap_sq), where=overlap_sq > 0.0)
+        ent_terms *= overlap_sq
+        ent = -np.sum(ent_terms, axis=0)
         self.count += np.histogram(e_hat, bins=self.edges)[0]
         self.ipr_sum += np.histogram(e_hat, bins=self.edges, weights=ipr)[0]
         self.ent_sum += np.histogram(e_hat, bins=self.edges, weights=ent)[0]

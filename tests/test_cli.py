@@ -110,6 +110,19 @@ class TestParams:
         with pytest.raises(SystemExit):
             run_cli(["params", "--N", "12", "--m", "6", "--t", "1", "--k", "2"])
 
+    def test_coupling_flag_replaces_the_files_coupling(self, tmp_path):
+        system = "N = 12\nm = 6\nt = 1\nk = 2\n"
+        flags = ["--N", "12", "--m", "6", "--t", "1", "--k", "2"]
+        for key, flag in (("lam = 0.4", ["--xi-sq", "0.3"]), ("xi_sq = 0.3", ["--lambda", "0.2"])):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(system + key + "\n")
+            assert run_cli(["params", "--config", str(cfg), *flag]) == run_cli(
+                ["params", *flags, *flag])
+        # without a coupling flag, a file that sets both is still an error
+        cfg.write_text(system + "lam = 0.4\nxi_sq = 0.3\n")
+        with pytest.raises(SystemExit, match="exactly one of the couplings lam and xi_sq"):
+            run_cli(["params", "--config", str(cfg)])
+
 
 class TestQnormal:
     def test_semicircle_peak_value(self, tmp_path):
@@ -368,6 +381,15 @@ def test_invalid_system_exits_without_traceback(tmp_path, command, system, coupl
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1 and reason in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("which", ["missing", "directory"])
+def test_unreadable_config_file_exits_without_traceback(tmp_path, which):
+    path = tmp_path / "absent.cfg" if which == "missing" else tmp_path
+    proc = cli_subprocess(["params", "--config", str(path)])
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("bad config file:") and proc.stderr.count("\n") == 1
 
 
 def _usable_cpus() -> int:

@@ -127,6 +127,54 @@ def test_embedding_output_is_symmetric():
     np.testing.assert_array_equal(v, v.T)
 
 
+def full_square_scatter(coeffs: np.ndarray, n_orb: int, m: int, r: int) -> np.ndarray:
+    """Reference embedding: every (mu, nu) pair of each spectator set, both
+    triangles, scattered with its sign product, then 0.5 * (out + out^T)."""
+    basis_m, basis_r = build_basis(n_orb, m), build_basis(n_orb, r)
+    d = basis_m.dim
+    flat, sign, row_a, col_b = [], [], [], []
+    for gamma in itertools.combinations(range(n_orb), m - r):
+        gmask = sum(1 << o for o in gamma)
+        free = [o for o in range(n_orb) if not gmask >> o & 1]
+        mu, act, s = [], [], []
+        for alpha in itertools.combinations(free, r):
+            amask = sum(1 << o for o in alpha)
+            mu.append(basis_m.index[amask | gmask])
+            act.append(basis_r.index[amask])
+            # one transposition per (active, spectator) pair in crossing order
+            s.append((-1) ** sum(g < a for a in alpha for g in gamma))
+        mu, act, s = np.array(mu), np.array(act), np.array(s)
+        flat.append((mu[:, None] * d + mu[None, :]).ravel())
+        sign.append(np.outer(s, s).ravel())
+        row_a.append(np.repeat(act, len(act)))
+        col_b.append(np.tile(act, len(act)))
+    flat, sign, row_a, col_b = map(np.concatenate, (flat, sign, row_a, col_b))
+    out = np.bincount(flat, weights=sign * coeffs[row_a, col_b], minlength=d * d)
+    out = out.reshape(d, d)
+    return 0.5 * (out + out.T)
+
+
+@pytest.mark.parametrize("n_orb, m, r", [(8, 4, 1), (8, 4, 2), (8, 4, 3), (8, 4, 4), (6, 3, 3)])
+def test_upper_triangle_plan_matches_full_square_scatter(n_orb, m, r):
+    basis_m, basis_r = build_basis(n_orb, m), build_basis(n_orb, r)
+    g = np.random.default_rng(10 * n_orb + r).standard_normal((basis_r.dim, basis_r.dim))
+    got = embed_k_body(g, basis_m, basis_r)
+    want = full_square_scatter(g, n_orb, m, r)
+    assert np.array_equal(got, got.T)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # a symmetric input is summed in the same order, so the bits agree
+    v = sample_goe(basis_r.dim, 5, r)
+    np.testing.assert_array_equal(embed_k_body(v, basis_m, basis_r),
+                                  full_square_scatter(v, n_orb, m, r))
+
+
+def test_plan_holds_the_upper_triangle_only():
+    # 66 spectator pairs, each linking C(10, 4) = 210 determinants
+    plan = embedding_plan(12, 6, 4)
+    assert len(plan.flat) == len(plan.src) == 66 * 210 * 211 // 2 == 1_462_230
+    assert plan.flat.nbytes + plan.src.nbytes <= 18_000_000
+
+
 def test_basis_states_ascending_and_indexed():
     basis = build_basis(6, 3)
     states = basis.states.astype(np.int64)
@@ -214,7 +262,9 @@ def test_bases_and_plans_are_shared_and_read_only():
     with pytest.raises(ValueError):
         basis.states[0] = 0
     with pytest.raises(ValueError):
-        embedding_plan(6, 3, 2).sign[0] = 0
+        embedding_plan(6, 3, 2).flat[0] = 0
+    with pytest.raises(ValueError):
+        embedding_plan(6, 3, 2).src[0] = 0
 
 
 def test_occupations_match_bitmasks():
