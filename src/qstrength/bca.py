@@ -28,6 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from .qnormal import cqn_conditional_moments
+
 __all__ = [
     "SystemParams",
     "QParameterSet",
@@ -93,6 +95,8 @@ class SystemParams:
             )
         if not (self.lam >= 0.0):
             raise ValueError("coupling lam must be >= 0")
+        if not math.isfinite(self.lam * self.lam):
+            raise ValueError("coupling lam must be finite")
 
     @property
     def dim(self) -> int:
@@ -330,37 +334,26 @@ def q_params_finite(N: int, m: int, t: int, k: int, xi_sq: float) -> QParameterS
 
 
 def strength_moment_prediction(
-    e_hat: float, qs: QParameterSet, m: int, t: int, k: int
+    e_hat, qs: QParameterSet, m: int, t: int, k: int
 ) -> StrengthMomentPrediction:
     """Moments of the strength function launched from standardized energy e_hat.
 
-    Centroid xi*e_hat and variance 1 - xi^2 follow from the variance split;
-    gamma1 and the leading fourth moment are those of the conditional q-normal
-    with q = q_hv, and delta is the relative fourth-moment correction beyond
-    that form, built from q_v - q_hv and the cross term
-    X = (q_hv/2) * (binom(m-k-t, k)/binom(m, k) - q_hv).
+    Centroid, variance, gamma1 and the leading fourth moment are those of the
+    conditional q-normal f_CqN(x | e_hat; xi, q_hv); delta is the relative
+    fourth-moment correction beyond that form, built from q_v - q_hv and the
+    cross term X = (q_hv/2) * (binom(m-k-t, k)/binom(m, k) - q_hv).  e_hat may
+    be a float or an array; a nan e_hat gives nan moments.
     """
     if not 0.0 < qs.xi_sq < 1.0:
         raise ValueError("prediction needs 0 < xi^2 < 1 (finite mixing of H0 and V)")
-    xi_sq = qs.xi_sq
-    xi = qs.xi
-    v = 1.0 - xi_sq
-    q = qs.q_hv
-    e2 = e_hat * e_hat
-    gamma1 = -xi * (1.0 - q) * e_hat / math.sqrt(v)
-    mu4_leading = (2.0 + q) + (xi_sq * e2 * (1.0 - q) ** 2 + xi_sq * (1.0 - q * q)) / v
-    x_term = 0.5 * q * (binom(m - k - t, k) / binom(m, k) - q)
-    delta0 = (qs.q_v - q) + x_term * xi_sq * (e2 - 1.0) / v
+    mom = cqn_conditional_moments(e_hat, qs.xi, qs.q_hv)
+    mu4_leading = mom.gamma2 + 3.0
+    x_term = 0.5 * qs.q_hv * (binom(m - k - t, k) / binom(m, k) - qs.q_hv)
+    delta0 = (qs.q_v - qs.q_hv) + x_term * qs.xi_sq * (e_hat * e_hat - 1.0) / mom.variance
     delta = delta0 / mu4_leading
-    mu4 = mu4_leading * (1.0 + delta)
     return StrengthMomentPrediction(
-        e_hat_kappa=e_hat,
-        centroid=xi * e_hat,
-        variance=v,
-        gamma1=gamma1,
-        gamma2=mu4 - 3.0,
-        mu4_leading=mu4_leading,
-        delta=delta,
+        e_hat_kappa=e_hat, centroid=mom.mean, variance=mom.variance, gamma1=mom.gamma1,
+        gamma2=mu4_leading * (1.0 + delta) - 3.0, mu4_leading=mu4_leading, delta=delta,
     )
 
 

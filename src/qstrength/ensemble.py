@@ -70,17 +70,21 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.members < 1:
             raise ValueError("members must be >= 1")
-        if not self.window_centers:
-            raise ValueError("window_centers must not be empty")
-        if self.window_width <= 0:
-            raise ValueError("window_width must be positive")
-        if not self.grid_lo < self.grid_hi:
-            raise ValueError("grid_lo must be below grid_hi")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if not self.window_centers or not np.all(np.isfinite(self.window_centers)):
+            raise ValueError("window_centers must be a non-empty list of finite numbers")
+        if not 0 < self.window_width < np.inf:
+            raise ValueError("window_width must be positive and finite")
+        if not -np.inf < self.grid_lo < self.grid_hi < np.inf:
+            raise ValueError("grid bounds must be finite, with grid_lo below grid_hi")
         if self.grid_bins < 1:
             raise ValueError("grid_bins must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         self.system()  # exactly one coupling, then N, m, t, k, then the solved coupling
+        if fock.build_basis(self.N, self.m).dim < 2:  # also checks the orbital and size caps
+            raise ValueError("need at least 2 basis states to standardize a spectrum")
 
     def system(self) -> bca.SystemParams:
         return bca.resolve_system(self.N, self.m, self.t, self.k, self.lam, self.xi_sq_target)
@@ -170,9 +174,8 @@ def _task(args):
 
 def run_ensemble(cfg: RunConfig) -> EnsembleResult:
     """Run all members and reduce their partial sums in member order."""
-    # Check the basis size and build the embedding and compound tables up
-    # front so forked workers inherit them.
-    fock.build_basis(cfg.N, cfg.m)
+    # Build the embedding and compound tables up front so forked workers
+    # inherit them (RunConfig has built the basis already).
     fock.embedding_plan(cfg.N, cfg.m, cfg.k)
     if cfg.t == 1:
         for rank in range(2, cfg.k + 1):

@@ -5,9 +5,10 @@ standard Gaussian (q = 1) while keeping zero mean and unit variance.  The
 bivariate extension carries a correlation parameter xi; dividing the bivariate
 density by the two marginals leaves a coupling factor h(x, y | xi, q), and the
 conditional density f_CqN(x | y; xi, q) = f_qN(x | q) * h(x, y | xi, q) is the
-smooth benchmark curve used for strength functions.  All densities are given by
-infinite products over powers of q, evaluated here in log space with the
-truncation chosen per q so that the dropped tail is below machine precision.
+smooth benchmark curve used for strength functions, with closed-form moments.
+All densities are infinite products over powers of q, evaluated in log space,
+truncated per q below machine precision and summed in blocks of at most
+1024 points x 4096 factors, so that no temporary grows with the grid.
 
 Conventions: the univariate support is (-2/sqrt(1-q), +2/sqrt(1-q)), open at
 the endpoints where the density vanishes like a square root; densities are 0
@@ -45,7 +46,7 @@ __all__ = [
 # so evaluation dispatches to the closed form.
 _FACTOR_EPS = 1e-16
 _MAX_FACTORS = 2_000_000
-_CHUNK = 4096
+_BLOCK_POINTS, _BLOCK_FACTORS = 1024, 4096
 
 
 class QuadratureError(RuntimeError):
@@ -142,6 +143,21 @@ def q_hermite(n: int, x, q: float):
     return h if h.ndim else float(h)
 
 
+def _log_product(x: np.ndarray, powers: np.ndarray, log_factors, start=0.0) -> np.ndarray:
+    """start + the row sums of log_factors(x, powers), a (points x factors) array.
+
+    log_factors is evaluated on blocks of at most _BLOCK_POINTS points and
+    _BLOCK_FACTORS factors; each point adds its factor blocks in order, so its
+    bits do not depend on how many other points share the call.
+    """
+    out = np.array(np.broadcast_to(start, x.shape), dtype=float)
+    for i in range(0, len(x), _BLOCK_POINTS):
+        rows = slice(i, i + _BLOCK_POINTS)
+        for s in range(0, len(powers), _BLOCK_FACTORS):
+            out[rows] += np.sum(log_factors(x[rows], powers[s : s + _BLOCK_FACTORS]), axis=-1)
+    return out
+
+
 def _log_f_qn_interior(x: np.ndarray, q: float) -> np.ndarray:
     """log f_qN at points strictly inside the support (product form, q < 1)."""
     p = _q_powers(q)
@@ -149,11 +165,10 @@ def _log_f_qn_interior(x: np.ndarray, q: float) -> np.ndarray:
     x2 = x * x
     # constant part: sqrt(1-q) * prod_{j>=1}(1-q^j) / (2*pi)
     const = 0.5 * math.log(c) + float(np.sum(np.log1p(-p[1:]))) - math.log(2.0 * math.pi)
-    out = np.full(x.shape, const) - 0.5 * np.log(4.0 - c * x2)
-    for s in range(0, len(p), _CHUNK):
-        pc = p[s : s + _CHUNK]
-        out += np.sum(np.log((1.0 + pc) ** 2 - c * np.multiply.outer(x2, pc)), axis=-1)
-    return out
+    start = np.full(x.shape, const) - 0.5 * np.log(4.0 - c * x2)
+    return _log_product(
+        x2, p, lambda x2b, pc: np.log((1.0 + pc) ** 2 - c * np.multiply.outer(x2b, pc)), start
+    )
 
 
 def f_qn(x, q: float):
@@ -167,8 +182,7 @@ def f_qn(x, q: float):
     else:
         out = np.zeros(x1.shape)
         inside = 4.0 - (1.0 - q) * x1 * x1 > 0.0
-        if np.any(inside):
-            out[inside] = np.exp(_log_f_qn_interior(x1[inside], q))
+        out[inside] = np.exp(_log_f_qn_interior(x1[inside], q))
     return float(out[0]) if scalar else out.reshape(x.shape)
 
 
@@ -180,9 +194,10 @@ def _log_h_gauss(x: np.ndarray, y: float, xi: float) -> np.ndarray:
 def h_factor(x, y: float, xi: float, q: float):
     """Bivariate coupling factor h(x, y | xi, q) = f_biv_qN / (f_qN(x) f_qN(y)).
 
-    Symmetric in (x, y); equal to 1 when xi = 0.  Arguments are expected to lie
-    within the support of f_qN(.|q); outside it the product factors can lose
-    positivity, which raises ValueError.
+    Symmetric in (x, y) on the support; equal to 1 there when xi = 0.  For
+    q < 1, h is 0 at x on or outside the support of f_qN(.|q), where f_qN(x)
+    vanishes too; y is expected inside it, and a y outside it that makes a
+    product factor lose positivity raises ValueError.
     """
     q = _check_q(q)
     xi = _check_xi(xi)
@@ -190,33 +205,30 @@ def h_factor(x, y: float, xi: float, q: float):
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x1 = np.atleast_1d(x)
-    if xi == 0.0:
-        out = np.ones(x1.shape)
-    elif _gaussian_regime(q):
+    if _gaussian_regime(q):
         out = np.exp(_log_h_gauss(x1, y, xi))
     else:
-        p = _q_powers(q)
-        c = 1.0 - q
-        log_h = np.zeros(x1.shape)
-        for s in range(0, len(p), _CHUNK):
-            pc = p[s : s + _CHUNK]
+        def log_factors(xb: np.ndarray, pc: np.ndarray) -> np.ndarray:
             p2 = pc * pc
             num = 1.0 - xi * xi * pc
             den = (
                 (1.0 - xi * xi * p2) ** 2
-                - c * xi * np.multiply.outer(x1 * y, pc * (1.0 + xi * xi * p2))
-                + c * xi * xi * np.multiply.outer(x1 * x1 + y * y, p2)
+                - (1.0 - q) * xi * np.multiply.outer(xb * y, pc * (1.0 + xi * xi * p2))
+                + (1.0 - q) * xi * xi * np.multiply.outer(xb * xb + y * y, p2)
             )
             if np.any(den <= 0.0):
                 raise ValueError("h_factor undefined: arguments outside the q-normal support")
-            log_h += np.sum(np.log(num) - np.log(den), axis=-1)
-        out = np.exp(log_h)
+            return np.log(num) - np.log(den)
+
+        out = np.zeros(x1.shape)
+        inside = support(q).contains(x1)
+        out[inside] = np.exp(_log_product(x1[inside], _q_powers(q), log_factors))
     return float(out[0]) if scalar else out.reshape(x.shape)
 
 
 def f_biv_qn(x, y: float, xi: float, q: float):
     """Bivariate q-normal density f_biv_qN(x, y | xi, q), vectorized over x."""
-    return f_qn(x, q) * f_qn(y, q) * _masked_h(x, y, xi, q)
+    return f_qn(x, q) * f_qn(y, q) * h_factor(x, y, xi, q)
 
 
 def f_cqn(x, y: float, xi: float, q: float):
@@ -228,27 +240,11 @@ def f_cqn(x, y: float, xi: float, q: float):
     q = _check_q(q)
     if not _gaussian_regime(q) and not support(q).contains(y):
         raise ValueError(f"conditioning point y={y} outside the q-normal support")
-    return f_qn(x, q) * _masked_h(x, y, xi, q)
+    return f_qn(x, q) * h_factor(x, y, xi, q)
 
 
-def _masked_h(x, y: float, xi: float, q: float):
-    """h(x, y) where x is inside the support, 0 elsewhere (f_qN is 0 there anyway)."""
-    q = _check_q(q)
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x1 = np.atleast_1d(x)
-    if _gaussian_regime(q):
-        out = np.atleast_1d(h_factor(x1, y, xi, q))
-    else:
-        out = np.zeros(x1.shape)
-        inside = np.asarray(support(q).contains(x1))
-        if np.any(inside):
-            out[inside] = h_factor(x1[inside], y, xi, q)
-    return float(out[0]) if scalar else out.reshape(x.shape)
-
-
-def cqn_conditional_moments(y: float, xi: float, q: float) -> ConditionalMoments:
-    """Closed-form mean, variance, skewness and excess kurtosis of f_CqN(x|y).
+def cqn_conditional_moments(y, xi: float, q: float) -> ConditionalMoments:
+    """Closed-form mean, variance, skewness and excess kurtosis of f_CqN(x|y), elementwise in y.
 
     mean = xi*y, variance = 1 - xi^2,
     gamma1 = -xi (1-q) y / sqrt(1 - xi^2),
@@ -256,8 +252,8 @@ def cqn_conditional_moments(y: float, xi: float, q: float) -> ConditionalMoments
     """
     q = _check_q(q)
     xi = _check_xi(xi)
-    y = float(y)
     v = 1.0 - xi * xi
     gamma1 = -xi * (1.0 - q) * y / math.sqrt(v)
     gamma2 = (q - 1.0) + ((1.0 - q) ** 2 * xi * xi * y * y + xi * xi * (1.0 - q * q)) / v
-    return ConditionalMoments(mean=xi * y, variance=v, gamma1=gamma1, gamma2=gamma2)
+    # v + 0*y is v shaped like y, and nan where y is nan
+    return ConditionalMoments(mean=xi * y, variance=v + 0.0 * y, gamma1=gamma1, gamma2=gamma2)

@@ -222,20 +222,9 @@ class StrengthReport(_Sums):
 def window_predictions(
     report: StrengthReport, qs: QParameterSet, m: int, t: int, k: int
 ) -> dict[str, np.ndarray]:
-    """Predicted strength moments evaluated at each window's mean launch energy."""
-    e0 = report.e0_mean
-    cols = {"centroid": [], "variance": [], "gamma1": [], "gamma2": []}
-    for e in e0:
-        if math.isnan(e):
-            for v in cols.values():
-                v.append(np.nan)
-            continue
-        pred = strength_moment_prediction(float(e), qs, m, t, k)
-        cols["centroid"].append(pred.centroid)
-        cols["variance"].append(pred.variance)
-        cols["gamma1"].append(pred.gamma1)
-        cols["gamma2"].append(pred.gamma2)
-    return {key: np.asarray(v) for key, v in cols.items()}
+    """Predicted strength moments at each window's mean launch energy, nan where empty."""
+    pred = strength_moment_prediction(report.e0_mean, qs, m, t, k)
+    return {key: getattr(pred, key) for key in ("centroid", "variance", "gamma1", "gamma2")}
 
 
 def predicted_f_values(report: StrengthReport, qs: QParameterSet) -> np.ndarray:
@@ -257,12 +246,7 @@ def strength_l1(report: StrengthReport, qs: QParameterSet) -> np.ndarray:
     statistical noise and binning resolution.
     """
     f_emp, bench = report.f_values(), predicted_f_values(report, qs)
-    widths = np.diff(report.edges)
-    out = np.full(len(report.windows), np.nan)
-    for i in range(len(out)):
-        if np.all(np.isfinite(f_emp[i])) and np.all(np.isfinite(bench[i])):
-            out[i] = float(np.sum(np.abs(f_emp[i] - bench[i]) * widths))
-    return out
+    return np.sum(np.abs(f_emp - bench) * np.diff(report.edges), axis=1)
 
 
 def centroid_slope(report: StrengthReport, e0_max: float | None = None) -> float:
@@ -323,15 +307,9 @@ class ChaosMeasures(_Sums):
 _NPC_NODES = 16
 _NPC_PANELS = (4, 2048)
 _NPC_RTOL = 1e-6
-_NPC_BLOCK = 1024  # y nodes per density call, bounding its (nodes x q-powers) arrays
 # f_qN(y|q) underflows to 0 beyond |y| = 40 for every q, so wider supports
 # (q > 0.9975, and the infinite q = 1 support) are cut there.
 _NPC_Y_MAX = 40.0
-
-
-def _in_blocks(func, y: np.ndarray, *args) -> np.ndarray:
-    blocks = range(0, len(y), _NPC_BLOCK)
-    return np.concatenate([func(y[s : s + _NPC_BLOCK], *args) for s in blocks])
 
 
 def _theta_rule(panels: int, lim: float, q_h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -341,7 +319,7 @@ def _theta_rule(panels: int, lim: float, q_h: float) -> tuple[np.ndarray, np.nda
     mids = half * (2 * np.arange(panels) + 1) - 0.5 * math.pi
     theta = (mids[:, None] + half * t).ravel()
     y = lim * np.sin(theta)
-    return y, np.tile(w, panels) * half * lim * np.cos(theta) * _in_blocks(f_qn, y, q_h)
+    return y, np.tile(w, panels) * half * lim * np.cos(theta) * f_qn(y, q_h)
 
 
 def npc_integral(x: np.ndarray, qs: QParameterSet, dim: int) -> np.ndarray:
@@ -370,7 +348,7 @@ def npc_integral(x: np.ndarray, qs: QParameterSet, dim: int) -> np.ndarray:
         if panels not in rules:
             rules[panels] = _theta_rule(panels, lim, qs.q_h)
         y, weights = rules[panels]
-        h = _in_blocks(h_factor, y, xx, qs.xi, qs.q_hv)
+        h = h_factor(y, xx, qs.xi, qs.q_hv)
         return float(np.sum(weights * h * h))
 
     for i, xx in enumerate(x.tolist()):

@@ -295,6 +295,17 @@ class TestMomentPredictions:
         assert up.gamma1 > 0 > down.gamma1
         assert up.gamma1 == pytest.approx(-down.gamma1, rel=1e-14)
 
+    def test_array_input_matches_scalar_calls_bit_for_bit(self):
+        qs = q_params_finite(12, 6, 1, 4, 0.3)
+        e_hat = np.array([-2.5, -1.0, np.nan, 0.0, 0.7, 2.0, np.nan])
+        pred = strength_moment_prediction(e_hat, qs, 6, 1, 4)
+        for name in ("centroid", "variance", "gamma1", "gamma2", "mu4_leading", "delta"):
+            got = getattr(pred, name)
+            assert got.shape == e_hat.shape
+            want = [np.nan if np.isnan(e) else getattr(
+                strength_moment_prediction(float(e), qs, 6, 1, 4), name) for e in e_hat]
+            np.testing.assert_array_equal(got, want, err_msg=name)
+
     def test_rejects_degenerate_correlation(self):
         qs = q_params_finite(12, 6, 1, 2, 1.0)
         with pytest.raises(ValueError):

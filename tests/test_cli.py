@@ -1,6 +1,7 @@
 """CLI harness tests: subcommand output, config merging, reproducibility."""
 
 import csv
+import hashlib
 import io
 import math
 import os
@@ -122,6 +123,29 @@ class TestParams:
         cfg.write_text(system + "lam = 0.4\nxi_sq = 0.3\n")
         with pytest.raises(SystemExit, match="exactly one of the couplings lam and xi_sq"):
             run_cli(["params", "--config", str(cfg)])
+
+
+# tables and params use only Python floats, math and exact binomials, so their
+# bytes are the same on any IEEE-754 machine; a change to the parameter or
+# prediction arithmetic that moves an emitted digit fails here.
+PLATFORM_FREE_DIGESTS = (
+    (["tables"], {
+        "table1.csv": "aa3f0f2409c533e4e19b47190276dcf3b7b21b5668ffd6a6c1516cfc7cf00bc0",
+        "table2.csv": "2e6ba32b5c2f6c0ebe1944024458504c8e228eaa6a10148f033bb9120b4bfd66",
+    }),
+    (["params", "--N", "12", "--m", "6", "--t", "1", "--k", "2", "--xi-sq", "0.5"], {
+        "params.csv": "397b67284c7142c0e1b799345f50b62c04cb6a4452784cff5290f4651bfae28d",
+        "predictions.csv": "1f0c6c44b3d51f70710000db64e9bd408d6b6b6321f303277ea6afebc00edc69",
+    }),
+)
+
+
+def test_platform_free_outputs_are_pinned(tmp_path):
+    for i, (argv, digests) in enumerate(PLATFORM_FREE_DIGESTS):
+        out = tmp_path / str(i)
+        assert run_cli([*argv, "--out", str(out)])[0] == 0
+        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests}
+        assert got == digests, argv[0]
 
 
 class TestQnormal:
@@ -328,9 +352,12 @@ class TestSimulate:
         assert code == 1
         assert "FAIL" in out
 
-    @pytest.mark.parametrize("flag", ["--windows=,", "--window-width=0"])
+    @pytest.mark.parametrize("flag", [
+        "--windows=,", "--window-width=0", "--windows=nan", "--window-width=nan",
+        "--grid=-inf:3:8", "--N=30 --m=15", "--N=70 --m=2", "--seed=-1", "--N=4 --m=4",
+    ])
     def test_bad_run_config_exits_without_traceback(self, tmp_path, flag):
-        proc = cli_subprocess(SIM_ARGS + [flag, "--check", "--out", str(tmp_path)])
+        proc = cli_subprocess(SIM_ARGS + flag.split() + ["--check", "--out", str(tmp_path)])
         assert proc.returncode != 0
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("bad simulate config:") and proc.stderr.count("\n") == 1
@@ -373,7 +400,10 @@ class TestSimulate:
     ((8, 4, 1, 2), [], "exactly one of the couplings lam and xi_sq"),
     ((8, 4, 1, 2), ["--lambda", "0.5", "--xi-sq", "0.5"],
      "exactly one of the couplings lam and xi_sq"),
-], ids=["m>N-xi_sq", "m>N-lam", "xi_sq=0", "no-N", "no-coupling", "both-couplings"])
+    ((8, 4, 1, 2), ["--lambda", "inf"], "coupling lam must be finite"),
+    ((8, 4, 1, 2), ["--lambda", "1e300"], "coupling lam must be finite"),
+], ids=["m>N-xi_sq", "m>N-lam", "xi_sq=0", "no-N", "no-coupling", "both-couplings",
+        "lam=inf", "lam^2=inf"])
 def test_invalid_system_exits_without_traceback(tmp_path, command, system, coupling, reason):
     flags = [f"--{name}={value}" for name, value in zip("Nmtk", system) if value is not None]
     proc = cli_subprocess([command, *flags, *coupling, "--out", str(tmp_path / "out")])

@@ -144,12 +144,25 @@ def test_conditional_reduces_to_marginal_at_zero_coupling():
         assert f_cqn(x, 1.0, 0.0, 0.6) == pytest.approx(f_qn(x, 0.6), rel=1e-14)
 
 
-@pytest.mark.parametrize("q", [0.0, 0.3, 0.536, 0.9])
+@pytest.mark.parametrize("q", [0.0, 0.3, 0.536, 0.9, 0.995])
 def test_grid_evaluation_equals_pointwise_calls(q):
-    # the CLI evaluates whole grids at once; each point must keep its bits
+    # the CLI evaluates whole grids at once; each point must keep its bits.
+    # 1025 points cross a 1024-point block, and q = 0.995 needs two factor blocks
     x = np.linspace(-5.0, 5.0, 1025)
     np.testing.assert_array_equal(f_qn(x, q), [f_qn(xx, q) for xx in x])
+    np.testing.assert_array_equal(h_factor(x, -1.3, 0.3, q),
+                                  [h_factor(xx, -1.3, 0.3, q) for xx in x])
     np.testing.assert_array_equal(f_cqn(x, -1.3, 0.3, q), [f_cqn(xx, -1.3, 0.3, q) for xx in x])
+
+
+@pytest.mark.parametrize("q", [0.0, 0.5, 0.9])
+def test_h_factor_is_zero_outside_the_support(q):
+    hi = support(q).hi
+    x = np.array([-hi - 1.0, -hi, 0.0, hi, hi + 1.0])
+    h = h_factor(x, 0.5, 0.6, q)
+    np.testing.assert_array_equal(h[[0, 1, 3, 4]], 0.0)
+    assert h[2] > 0.0
+    assert h_factor(hi + 1.0, 0.5, 0.0, q) == 0.0
 
 
 def test_conditional_rejects_y_outside_support():

@@ -18,6 +18,7 @@ from qstrength.spectral import (
     diagonalize,
     npc_integral,
     overlaps,
+    predicted_f_values,
     standardize,
     strength_l1,
     window_predictions,
@@ -224,6 +225,14 @@ class TestPredictionHelpers:
         )
         l1 = strength_l1(rep, self.qs)
         assert l1[0] < 5e-3
+
+    def test_strength_l1_matches_the_per_window_sums(self):
+        # the last window lies beyond the toy spectra, so its row is nan
+        rep = StrengthReport(np.array([[-1.0, 0.0], [0.0, 1.0], [5.0, 6.0]]), EDGES)
+        rep.add_member(*_toy_member(2))
+        f_emp, bench = rep.f_values(), predicted_f_values(rep, self.qs)
+        want = [float(np.sum(np.abs(f_emp[i] - bench[i]) * np.diff(EDGES))) for i in range(2)]
+        np.testing.assert_array_equal(strength_l1(rep, self.qs), want + [np.nan])
 
     def test_strength_l1_detects_wrong_shape(self):
         edges = np.linspace(-3.2, 3.2, 321)
