@@ -240,25 +240,16 @@ def d_weight(n_orb: int, nu: int) -> int:
     return binom(n_orb, nu) ** 2 - binom(n_orb, nu - 1) ** 2
 
 
-def _q_rank_finite(N: int, m: int, r: int) -> float:
-    """Finite-N fourth-moment parameter of an embedded rank-r ensemble."""
-    num = sum(
-        lambda_capital(N, m, r, nu) * lambda_capital(N, m, m - r, nu) * d_weight(N, nu)
-        for nu in range(min(r, m - r) + 1)
-    )
-    return num / (binom(N, m) * lambda_capital(N, m, r) ** 2)
-
-
 def q_h_finite(N: int, m: int, t: int) -> float:
-    return _q_rank_finite(N, m, t)
+    return q_hv_finite(N, m, t, t)
 
 
 def q_v_finite(N: int, m: int, k: int) -> float:
-    return _q_rank_finite(N, m, k)
+    return q_hv_finite(N, m, k, k)
 
 
 def q_hv_finite(N: int, m: int, t: int, k: int) -> float:
-    """Finite-N cross parameter coupling the rank-t and rank-k spectra."""
+    """Finite-N cross parameter of the rank-t and rank-k spectra; t = k gives one rank's q."""
     num = sum(
         lambda_capital(N, m, k, nu) * lambda_capital(N, m, m - t, nu) * d_weight(N, nu)
         for nu in range(min(t, m - k) + 1)

@@ -7,6 +7,8 @@ parsed as its flag's; bca.resolve_system then turns the values into a system.
 Every command is a pure function of (config, seed) and reruns byte-identically:
 '#' metadata lines (tool version, config hash, seed), no timestamps, 6
 significant digits, and 3-decimal display columns for diffing the tables.
+Each CSV is one {column name: values} mapping, and one writer turns it into
+header and rows; a --out that cannot be created or written exits with one line.
 """
 
 from __future__ import annotations
@@ -47,14 +49,38 @@ def _meta_lines(config_items: dict, seed=None) -> list[str]:
     return lines
 
 
-def _write_csv(target, meta: list[str], columns: list[str], rows) -> None:
-    out = [*meta, ",".join(columns)]
-    out.extend(",".join(_fmt(value) for value in row) for row in rows)
-    text = "\n".join(out) + "\n"
-    if target is None:
-        sys.stdout.write(text)
-    else:
-        Path(target).write_text(text)
+def _write_csv(target, meta: list[str], table: dict) -> None:
+    """Write a {column name: values} table to the file target, or stdout if unset.
+
+    The header is the keys in order; columns of unequal length raise ValueError.
+    """
+    rows = (",".join(map(_fmt, row)) for row in zip(*table.values(), strict=True))
+    text = "\n".join([*meta, ",".join(table), *rows]) + "\n"
+    try:
+        (Path(target).write_text if target else sys.stdout.write)(text)
+    except OSError as exc:
+        raise SystemExit(f"cannot write output: {exc}")
+
+
+def _out_dir(out) -> Path | None:
+    """The --out directory, created if missing; None (stdout) when out is unset."""
+    if not out:
+        return None
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise SystemExit(f"cannot write output: {exc}")
+    return Path(out)
+
+
+def _write_tables(out_dir: Path | None, meta: list[str], tables: dict) -> None:
+    """Write each {filename: table} into out_dir, or all of them to stdout if None."""
+    for name, table in tables.items():
+        _write_csv(out_dir / name if out_dir else None, meta, table)
+
+
+def _key_values(items: dict) -> dict:
+    return {"key": list(items), "value": list(items.values())}
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
@@ -101,23 +127,19 @@ def _load_config_file(path: str, keys) -> dict:
 
 
 def cmd_tables(args) -> int:
-    out_dir = Path(args.out) if args.out else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     tables = (
-        ("1", lambda: bca.delta_table_rows(20, 8) + bca.delta_table_rows(50, 10),
-         ["N", "m", "t", "k", "q_h", "q_h_inf", "q_v", "q_v_inf", "q_hv", "q_hv_inf",
-          "delta_0", "delta_1", "delta_2"]),
-        ("2", bca.composition_table_rows, ["N", "m", "t", "k", "q_h", "q_v", "q_hv", "q_H"]),
+        ("1", lambda: bca.delta_table_rows(20, 8) + bca.delta_table_rows(50, 10)),
+        ("2", bca.composition_table_rows),
     )
-    for which, rows, columns in tables:
+    for which, make_rows in tables:
         if args.which in (which, "both"):
-            display = columns[4:]
-            out_rows = [[row[c] for c in columns] + [format(row[c], ".3f") for c in display]
-                        for row in rows()]
-            _write_csv(out_dir / f"table{which}.csv" if out_dir else None,
-                       _meta_lines({"table": int(which)}),
-                       columns + [f"{c}_3dp" for c in display], out_rows)
+            rows = make_rows()
+            table = {column: [row[column] for row in rows] for column in rows[0]}
+            # every column after N, m, t, k again at 3 decimals, for diffing
+            table |= {f"{c}_3dp": [format(v, ".3f") for v in table[c]] for c in list(table)[4:]}
+            _write_tables(out_dir, _meta_lines({"table": int(which)}),
+                          {f"table{which}.csv": table})
     return 0
 
 
@@ -133,31 +155,31 @@ def _system(args) -> bca.SystemParams:
         raise SystemExit(f"bad system: {exc}")
 
 
-def _coupling_block(params: bca.SystemParams, xi_sq_target):
-    """Key-value rows describing a resolved system in both variance conventions."""
+def _coupling_block(params: bca.SystemParams, xi_sq_target) -> dict:
+    """Keys and values describing a resolved system in both variance conventions."""
     N, m, t, k = params.N, params.m, params.t, params.k
-    rows: list[tuple[str, object]] = [("N", N), ("m", m), ("t", t), ("k", k)]
+    items: dict[str, object] = {"N": N, "m": m, "t": t, "k": k}
     if xi_sq_target is not None:
         bold_sq = bca.lambda_thermo(m, t, k) * (1.0 / xi_sq_target - 1.0)
-        lam_inf = bca.lam_from_bold(bold_sq, N, t, k)
-        rows += [("xi_sq_target", xi_sq_target), ("lambda_infinite_n", lam_inf),
-                 ("lambda_finite_n", params.lam)]
+        items |= {"xi_sq_target": xi_sq_target,
+                  "lambda_infinite_n": bca.lam_from_bold(bold_sq, N, t, k),
+                  "lambda_finite_n": params.lam}
     else:
-        rows.append(("lambda", params.lam))
+        items["lambda"] = params.lam
     xi_sq_inf = bca.xi_infinite(params) ** 2
     xi_sq_fin = params.xi_sq_finite
-    rows += [
-        ("dim", params.dim),
-        ("bold_lambda_sq", bca.bold_lambda_sq(params)),
-        ("lambda_thermo_sq", bca.lambda_thermo(m, t, k)),
-        ("xi_sq_infinite", xi_sq_inf),
-        ("xi_sq_finite", xi_sq_fin),
-    ]
+    items |= {
+        "dim": params.dim,
+        "bold_lambda_sq": bca.bold_lambda_sq(params),
+        "lambda_thermo_sq": bca.lambda_thermo(m, t, k),
+        "xi_sq_infinite": xi_sq_inf,
+        "xi_sq_finite": xi_sq_fin,
+    }
     for label, qs in (("infinite", bca.q_params_infinite(m, t, k, xi_sq_inf)),
                       ("finite", bca.q_params_finite(N, m, t, k, xi_sq_fin))):
-        rows += [(f"q_h_{label}", qs.q_h), (f"q_v_{label}", qs.q_v),
-                 (f"q_hv_{label}", qs.q_hv), (f"q_big_h_{label}", qs.q_H)]
-    return rows
+        items |= {f"q_h_{label}": qs.q_h, f"q_v_{label}": qs.q_v,
+                  f"q_hv_{label}": qs.q_hv, f"q_big_h_{label}": qs.q_H}
+    return items
 
 
 def _config_items(args, keys) -> dict:
@@ -167,24 +189,13 @@ def _config_items(args, keys) -> dict:
 def cmd_params(args) -> int:
     params = _system(args)
     qs = params.qs_finite
-    rows = _coupling_block(params, args.xi_sq) + [("predictions_enabled", qs is not None)]
-    meta = _meta_lines(_config_items(args, _PARAM_KEYS))
-    out_dir = Path(args.out) if args.out else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "params.csv" if out_dir else None, meta, ["key", "value"], rows)
+    items = _coupling_block(params, args.xi_sq) | {"predictions_enabled": qs is not None}
+    tables = {"params.csv": _key_values(items)}
     if qs is not None:
-        pred = []
-        for e_hat in args.windows:
-            p = bca.strength_moment_prediction(e_hat, qs, params.m, params.t, params.k)
-            pred.append([e_hat, p.centroid, p.variance, p.gamma1, p.gamma2,
-                         p.mu4_leading, p.delta])
-        _write_csv(
-            out_dir / "predictions.csv" if out_dir else None,
-            meta,
-            ["e_hat", "centroid", "variance", "gamma1", "gamma2", "mu4_leading", "delta"],
-            pred,
-        )
+        e_hat = np.array(args.windows)
+        pred = dict(vars(bca.strength_moment_prediction(e_hat, qs, params.m, params.t, params.k)))
+        tables["predictions.csv"] = {"e_hat": pred.pop("e_hat_kappa"), **pred}
+    _write_tables(_out_dir(args.out), _meta_lines(_config_items(args, _PARAM_KEYS)), tables)
     return 0
 
 
@@ -201,19 +212,12 @@ def cmd_qnormal(args) -> int:
     try:
         if args.y is not None:
             items |= {"y": args.y, "xi": args.xi}
-            f = qnormal.f_cqn(x, args.y, args.xi, args.q)
-            columns = ["x", "f_cqn"]
+            table = {"x": x, "f_cqn": qnormal.f_cqn(x, args.y, args.xi, args.q)}
         else:
-            f = qnormal.f_qn(x, args.q)
-            columns = ["x", "f_qn"]
+            table = {"x": x, "f_qn": qnormal.f_qn(x, args.q)}
     except ValueError as exc:
         raise SystemExit(f"bad qnormal input: {exc}")
-    _write_csv(
-        Path(args.out) if args.out else None,
-        _meta_lines(items),
-        columns,
-        zip(x.tolist(), f.tolist()),
-    )
+    _write_csv(args.out, _meta_lines(items), table)
     return 0
 
 
@@ -228,13 +232,8 @@ def cmd_npc(args) -> int:
         raise SystemExit("NPC curve needs 0 < xi^2 < 1 (nonzero coupling)")
     lo, hi, n = _parse_grid(args.grid)
     x = np.linspace(lo, hi, n)
-    values = spectral.npc_integral(x, qs, dim=params.dim)
-    _write_csv(
-        Path(args.out) if args.out else None,
-        _meta_lines(_config_items(args, _PARAM_KEYS)),
-        ["x", "npc"],
-        zip(x.tolist(), values.tolist()),
-    )
+    _write_csv(args.out, _meta_lines(_config_items(args, _PARAM_KEYS)),
+               {"x": x, "npc": spectral.npc_integral(x, qs, dim=params.dim)})
     return 0
 
 
@@ -254,95 +253,73 @@ def _run_config(args) -> ensemble.RunConfig:
         raise SystemExit(f"bad simulate config: {exc}")
 
 
-def _strength_rows(rep: spectral.StrengthReport, qs: bca.QParameterSet):
-    f_emp, f_pred = rep.f_values(), spectral.predicted_f_values(rep, qs)
-    rows = []
-    for i, (center, e0) in enumerate(zip(rep.window_centers, rep.e0_mean)):
-        rows.extend([center, e0, x, f, p] for x, f, p in zip(rep.bin_centers, f_emp[i], f_pred[i]))
-    return rows
+def _strength_table(rep: spectral.StrengthReport, qs: bca.QParameterSet) -> dict:
+    """One row per (window, bin), windows outermost."""
+    bins, windows = len(rep.bin_centers), len(rep.window_centers)
+    return {
+        "window_center": np.repeat(rep.window_centers, bins),
+        "e0_mean": np.repeat(rep.e0_mean, bins),
+        "x": np.tile(rep.bin_centers, windows),
+        "f_empirical": rep.f_values().ravel(),
+        "f_predicted": spectral.predicted_f_values(rep, qs).ravel(),
+    }
 
 
-def _moment_rows(rep: spectral.StrengthReport, qs: bca.QParameterSet, m, t, k):
+def _moment_table(rep: spectral.StrengthReport, qs: bca.QParameterSet, m, t, k) -> dict:
     mom = rep.window_moments()
     pred = spectral.window_predictions(rep, qs, m, t, k)
-    l1 = spectral.strength_l1(rep, qs)
-    rows = []
-    for i, center in enumerate(rep.window_centers):
-        rows.append([
-            center, mom["e0_mean"][i], int(mom["n_kappa"][i]), mom["weight"][i],
-            mom["mean"][i], pred["centroid"][i],
-            mom["variance"][i], pred["variance"][i],
-            mom["gamma1"][i], pred["gamma1"][i],
-            mom["gamma2"][i], pred["gamma2"][i],
-            l1[i],
-        ])
-    return rows
+    return {
+        "window_center": rep.window_centers, "e0_mean": mom["e0_mean"],
+        "n_kappa": mom["n_kappa"].astype(int), "weight": mom["weight"],
+        "centroid": mom["mean"], "centroid_pred": pred["centroid"],
+        "variance": mom["variance"], "variance_pred": pred["variance"],
+        "gamma1": mom["gamma1"], "gamma1_pred": pred["gamma1"],
+        "gamma2": mom["gamma2"], "gamma2_pred": pred["gamma2"],
+        "l1_distance": spectral.strength_l1(rep, qs),
+    }
 
 
 def cmd_simulate(args) -> int:
     run_cfg = _run_config(args)
+    out_dir = _out_dir(args.out or ".")
     result = ensemble.run_ensemble(run_cfg)
     if len(result.failures) > 0.01 * run_cfg.members:
         for member, message in result.failures:
             print(f"failed member {member} (seed {run_cfg.seed}): {message}", file=sys.stderr)
         raise SystemExit(f"{len(result.failures)} of {run_cfg.members} members failed (>1%)")
-    out_dir = Path(args.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
     # The hash covers only result-determining config: execution details like
     # worker count or output directory must not change the emitted bytes.
     hashed = set(_SIM_KEYS) - {"workers", "out"}
     meta = _meta_lines(_config_items(args, hashed), seed=run_cfg.seed)
 
-    qs = result.qs_finite
-    rows = _coupling_block(result.system, args.xi_sq) + [
-        ("predictions_enabled", qs is not None), ("members_failed", len(result.failures))]
-    _write_csv(out_dir / "params.csv", meta, ["key", "value"], rows)
-
-    rep, chaos = result.strength, result.chaos
+    qs, rep, chaos = result.qs_finite, result.strength, result.chaos
+    items = _coupling_block(result.system, args.xi_sq) | {
+        "predictions_enabled": qs is not None, "members_failed": len(result.failures)}
+    npc_curve = (np.full(chaos.bin_centers.shape, np.nan) if qs is None
+                 else spectral.npc_integral(chaos.bin_centers, qs, dim=result.system.dim))
+    tables = {
+        "params.csv": _key_values(items),
+        "npc.csv": {"x": chaos.bin_centers, "npc_mc": chaos.npc(), "s_info_mc": chaos.s_info(),
+                    "npc_analytic": npc_curve},
+    }
     if qs is not None:
-        _write_csv(
-            out_dir / "strength_functions.csv", meta,
-            ["window_center", "e0_mean", "x", "f_empirical", "f_predicted"],
-            _strength_rows(rep, qs),
-        )
-        _write_csv(
-            out_dir / "moments.csv", meta,
-            ["window_center", "e0_mean", "n_kappa", "weight",
-             "centroid", "centroid_pred", "variance", "variance_pred",
-             "gamma1", "gamma1_pred", "gamma2", "gamma2_pred", "l1_distance"],
-            _moment_rows(rep, qs, run_cfg.m, run_cfg.t, run_cfg.k),
-        )
-        npc_curve = spectral.npc_integral(chaos.bin_centers, qs, dim=result.system.dim)
-    else:
-        npc_curve = np.full(chaos.bin_centers.shape, np.nan)
-    _write_csv(
-        out_dir / "npc.csv", meta,
-        ["x", "npc_mc", "s_info_mc", "npc_analytic"],
-        zip(chaos.bin_centers.tolist(), chaos.npc().tolist(), chaos.s_info().tolist(),
-            npc_curve.tolist()),
-    )
+        tables["strength_functions.csv"] = _strength_table(rep, qs)
+        tables["moments.csv"] = _moment_table(rep, qs, run_cfg.m, run_cfg.t, run_cfg.k)
     if result.moments is not None:
         emp = result.moments.finalize()
-        mom_rows = [("member_count", emp.member_count), ("sigma_h0", emp.sigma_h0),
-                    ("sigma_h", emp.sigma_h)]
-        for name in ("mu11", "mu40", "mu04", "mu31", "mu13", "mu22"):
-            mom_rows += [
-                (name, getattr(emp, name)),
-                (f"{name}_member_mean", emp.member_mean[name]),
-                (f"{name}_member_std", emp.member_std[name]),
-            ]
-        _write_csv(out_dir / "bivariate.csv", meta, ["key", "value"], mom_rows)
+        biv = {"member_count": emp.member_count, "sigma_h0": emp.sigma_h0, "sigma_h": emp.sigma_h}
+        for name in emp.member_mean:
+            biv |= {name: getattr(emp, name), f"{name}_member_mean": emp.member_mean[name],
+                    f"{name}_member_std": emp.member_std[name]}
+        tables["bivariate.csv"] = _key_values(biv)
+    _write_tables(out_dir, meta, tables)
 
     if args.check:
         checks = ensemble.run_checks(result)
-        all_ok = True
         for name, ok, detail in checks:
             print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
-            all_ok &= ok
-        return 0 if all_ok else 1
-    print(f"wrote {out_dir}/params.csv, npc.csv"
-          + (", strength_functions.csv, moments.csv" if qs is not None else "")
-          + (", bivariate.csv" if result.moments is not None else ""))
+        return 0 if all(ok for _, ok, _ in checks) else 1
+    print(f"wrote {out_dir}/" + ", ".join(tables))
     return 0
 
 

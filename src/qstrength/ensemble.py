@@ -225,27 +225,37 @@ def run_checks(result: EnsembleResult) -> list[tuple[str, bool, str]]:
     e0 = mom["e0_mean"]
     ok_w = np.isfinite(e0)
 
-    slope = spectral.centroid_slope(rep, e0_max=2.0)
-    passed = abs(slope - xi) <= 0.03 * xi
-    checks.append(("centroid-slope", bool(passed), f"slope={slope:.4f} xi={xi:.4f}"))
+    try:
+        slope = spectral.centroid_slope(rep, e0_max=2.0)
+        checks.append(("centroid-slope", abs(slope - xi) <= 0.03 * xi,
+                       f"slope={slope:.4f} xi={xi:.4f}"))
+    except ValueError as exc:
+        checks.append(("centroid-slope", False, str(exc)))
 
-    sel = ok_w & (np.abs(e0) <= 2.0)
-    dev = np.max(np.abs(mom["variance"][sel] - (1 - qs.xi_sq))) / (1 - qs.xi_sq)
-    checks.append(("variance-flat", bool(dev <= 0.05), f"max rel dev {dev:.3f}"))
+    def variance_flat(sel):
+        dev = np.max(np.abs(mom["variance"][sel] - (1 - qs.xi_sq))) / (1 - qs.xi_sq)
+        return dev <= 0.05, f"max rel dev {dev:.3f}"
 
-    sel = ok_w & (np.abs(e0) <= 1.5) & (np.abs(e0) >= 0.25)
-    g_emp, g_pred = mom["gamma1"][sel], pred["gamma1"][sel]
-    rel = np.max(np.abs(g_emp - g_pred) / np.abs(g_pred))
-    signs = np.all(np.sign(g_emp) == -np.sign(e0[sel]))
-    checks.append(
-        ("gamma1-windows", bool(rel <= 0.10 and signs), f"max rel dev {rel:.3f}, sign flip {signs}")
-    )
+    def gamma1_windows(sel):
+        g_emp, g_pred = mom["gamma1"][sel], pred["gamma1"][sel]
+        rel = np.max(np.abs(g_emp - g_pred) / np.abs(g_pred))
+        signs = np.all(np.sign(g_emp) == -np.sign(e0[sel]))
+        return rel <= 0.10 and signs, f"max rel dev {rel:.3f}, sign flip {signs}"
 
-    sel = ok_w & (np.abs(e0) <= 2.0)
-    g2dev = np.max(np.abs(mom["gamma2"][sel] - pred["gamma2"][sel]))
-    checks.append(("gamma2-windows", bool(g2dev <= 0.15), f"max abs dev {g2dev:.3f}"))
+    def gamma2_windows(sel):
+        g2dev = np.max(np.abs(mom["gamma2"][sel] - pred["gamma2"][sel]))
+        return g2dev <= 0.15, f"max abs dev {g2dev:.3f}"
 
-    sel = ok_w & (np.abs(e0) <= 1.0)
-    l1 = spectral.strength_l1(rep, qs)[sel]
-    checks.append(("strength-l1", bool(np.nanmax(l1) < 0.1), f"max L1 {np.nanmax(l1):.3f}"))
+    def strength_l1(sel):
+        l1 = spectral.strength_l1(rep, qs)[sel]
+        return np.nanmax(l1) < 0.1, f"max L1 {np.nanmax(l1):.3f}"
+
+    for name, lo, hi, gate in (("variance-flat", 0.0, 2.0, variance_flat),
+                               ("gamma1-windows", 0.25, 1.5, gamma1_windows),
+                               ("gamma2-windows", 0.0, 2.0, gamma2_windows),
+                               ("strength-l1", 0.0, 1.0, strength_l1)):
+        sel = ok_w & (np.abs(e0) >= lo) & (np.abs(e0) <= hi)
+        passed, detail = (gate(sel) if np.any(sel)
+                          else (False, f"no window with |e0| in [{lo:g}, {hi:g}]"))
+        checks.append((name, bool(passed), detail))
     return checks

@@ -38,6 +38,21 @@ def read_csv(path: Path):
 
 
 # ---------------------------------------------------------------------------
+# the CSV writer
+
+
+class TestWriter:
+    def test_header_follows_the_mappings_key_order(self, tmp_path):
+        cli._write_csv(tmp_path / "t.csv", ["# meta"], {"b": [1, 2], "a": [0.5, 0.25]})
+        assert (tmp_path / "t.csv").read_text() == "# meta\nb,a\n1,0.5\n2,0.25\n"
+
+    def test_ragged_table_raises_instead_of_truncating(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli._write_csv(tmp_path / "t.csv", [], {"x": [1.0, 2.0, 3.0], "y": [1.0, 2.0]})
+        assert not (tmp_path / "t.csv").exists()
+
+
+# ---------------------------------------------------------------------------
 # tables / params / qnormal / npc
 
 
@@ -411,6 +426,58 @@ def test_invalid_system_exits_without_traceback(tmp_path, command, system, coupl
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1 and reason in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+SMALL_SYSTEM = ["--N", "8", "--m", "4", "--t", "1", "--k", "2", "--xi-sq", "0.5"]
+
+
+# each case's command and its --out, relative to a directory holding the file "file"
+UNWRITABLE_OUT = {
+    "qnormal-missing-parent": (["qnormal", "--q", "0.5"], "missing/dir/f.csv"),
+    "npc-into-directory": (["npc", *SMALL_SYSTEM], "."),
+    "params-under-a-file": (["params", *SMALL_SYSTEM], "file/sub"),
+    "tables-at-a-file": (["tables"], "file"),
+    "simulate-at-a-file": (["simulate", "--N", "12", "--m", "6", "--t", "1", "--k", "2",
+                            "--xi-sq", "0.5", "--members", "4"], "file"),
+}
+
+
+def _unwritable_out(tmp_path: Path, case: str) -> list[str]:
+    (tmp_path / "file").touch()
+    argv, out = UNWRITABLE_OUT[case]
+    return [*argv, "--out", str(tmp_path / out)]
+
+
+@pytest.mark.parametrize("case", UNWRITABLE_OUT)
+def test_unwritable_out_exits_without_traceback(tmp_path, case):
+    proc = cli_subprocess(_unwritable_out(tmp_path, case))
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("cannot write output:") and proc.stderr.count("\n") == 1
+
+
+def test_simulate_checks_its_out_before_running_members(tmp_path, monkeypatch):
+    def no_run(cfg):
+        raise AssertionError("run_ensemble called with an unwritable --out")
+
+    monkeypatch.setattr(cli.ensemble, "run_ensemble", no_run)
+    with pytest.raises(SystemExit, match="^cannot write output:"):
+        cli.main(_unwritable_out(tmp_path, "simulate-at-a-file"))
+
+
+@pytest.mark.parametrize("windows", ["0", "0.1,-0.1", "-2,-1.75,2", "-3,3"])
+def test_check_reports_a_gate_without_windows_as_fail(tmp_path, windows):
+    # each set leaves at least one gate's |e0| band without a filled window
+    proc = cli_subprocess(["simulate", *SMALL_SYSTEM, "--members", "4", "--seed", "7",
+                           f"--windows={windows}", "--check", "--out", str(tmp_path)])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    verdicts = [line.split(":")[0].split() for line in proc.stdout.splitlines()]
+    assert [gate for _, gate in verdicts] == [
+        "members-completed", "centroid-slope", "variance-flat", "gamma1-windows",
+        "gamma2-windows", "strength-l1"]
+    assert {verdict for verdict, _ in verdicts} <= {"PASS", "FAIL"}
+    assert "FAIL  gamma1-windows: no window with |e0| in [0.25, 1.5]" in proc.stdout
 
 
 @pytest.mark.parametrize("which", ["missing", "directory"])
