@@ -14,7 +14,7 @@ from .bca import (
     strength_moment_prediction,
 )
 from .ensemble import RunConfig, run_ensemble
-from .qnormal import f_biv_qn, f_cqn, f_qn, q_hermite, support
+from .qnormal import f_cqn, f_qn, support
 
 __version__ = "0.1.0"
 
@@ -23,10 +23,8 @@ __all__ = [
     "SystemParams",
     "RunConfig",
     "bivariate_moments",
-    "f_biv_qn",
     "f_cqn",
     "f_qn",
-    "q_hermite",
     "q_params_finite",
     "q_params_infinite",
     "run_ensemble",

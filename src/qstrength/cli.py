@@ -281,11 +281,15 @@ def _moment_table(rep: spectral.StrengthReport, qs: bca.QParameterSet, m, t, k) 
 
 def cmd_simulate(args) -> int:
     run_cfg = _run_config(args)
-    out_dir = _out_dir(args.out or ".")
+    out = Path(args.out or ".")
+    created = [p for p in (out, *out.parents) if not p.exists()]  # deepest first
+    out_dir = _out_dir(out)
     result = ensemble.run_ensemble(run_cfg)
     if len(result.failures) > 0.01 * run_cfg.members:
         for member, message in result.failures:
             print(f"failed member {member} (seed {run_cfg.seed}): {message}", file=sys.stderr)
+        for path in created:  # nothing was written: leave no empty --out behind
+            path.rmdir()
         raise SystemExit(f"{len(result.failures)} of {run_cfg.members} members failed (>1%)")
     # The hash covers only result-determining config: execution details like
     # worker count or output directory must not change the emitted bytes.

@@ -13,10 +13,13 @@ in crossing order.
 Embedding all pairs naively is slow, so the decomposition is precomputed once
 per (n_orb, m, r) as a "plan": the position mu*dim + nu of each upper-triangle
 pair (mu <= nu) a spectator set links, and the index of its coefficient in the
-signed vector [w, -w], in the negated half when the phase product is -1.
-Embedding a coefficient matrix is then one gather, one weighted bincount and a
-mirror of the upper triangle.  Bases and plans are made once per shape
-(functools.lru_cache), returned read-only, and shared by every ensemble member.
+signed vector [u, -u], u the upper triangle of the symmetrized coefficients
+row by row, in the negated half when the phase product is -1.  Both are int32
+while they fit.  Embedding a coefficient matrix is then a chunked gather and
+in-order accumulation into the upper triangle and an in-place mirror, so its
+memory is the output plus the signed vector.  Bases and plans are made once
+per shape (functools.lru_cache), returned read-only, and shared by every
+ensemble member.
 
 An orthogonal change of orbitals, new orbital j = sum_i O[i, j] (old orbital
 i), acts on rank-r determinants through the r-th compound matrix
@@ -118,43 +121,98 @@ def sample_goe(dim: int, master_seed: int, member: int, stream: int = 0) -> np.n
 @dataclass(frozen=True)
 class _EmbeddingPlan:
     flat: np.ndarray  # mu*dim + nu positions in the embedded matrix, mu <= nu
-    src: np.ndarray  # a*D + b, plus D*D when the phase product is -1
+    src: np.ndarray  # index into [u, -u], u = upper triangle (a <= b) of w by rows
     dim: int
 
 
-def _crossing_parity(active: tuple[int, ...], spectator_mask: int) -> int:
-    """Parity of annihilating the active orbitals (ascending) out of the union."""
-    par = 0
-    for a in active:
-        par ^= (spectator_mask & ((1 << a) - 1)).bit_count() & 1
-    return par
+_CHUNK = 1 << 14  # plan terms handled per step, when building and when embedding
+_MIRROR_ROWS = 64  # row block of the in-place mirror
+
+
+def _spectator_blocks(spect, combos, basis_m, basis_r):
+    """(mu, act, par) of every active set of each spectator row, ascending in mu.
+
+    spect is (g, m - r) spectator orbitals, combos (A, r) positions among a
+    row's free orbitals in ascending bitmask order, so mu ascends along a row.
+    par is the crossing parity of pulling the active orbitals out of mu.
+    """
+    one = np.uint64(1)
+    occupied = np.zeros((len(spect), basis_m.n_orb), dtype=bool)
+    occupied[np.arange(len(spect))[:, None], spect] = True
+    free = np.nonzero(~occupied)[1].reshape(len(spect), -1)
+    gmask = (one << spect.astype(np.uint64)).sum(axis=1, dtype=np.uint64)[:, None]
+    alpha = free[:, combos].astype(np.uint64)
+    amask = (one << alpha).sum(axis=2, dtype=np.uint64)
+    below = np.bitwise_count(gmask[:, :, None] & ((one << alpha) - one))
+    par = below.sum(axis=2, dtype=np.intp) & 1
+    mu = np.searchsorted(basis_m.states, amask | gmask)
+    return mu, np.searchsorted(basis_r.states, amask), par
+
+
+def _triangle_rows(a: int):
+    """Row ranges of the a x a upper triangle, about _CHUNK pairs (i <= j) each.
+
+    Yields (cols, i, j): the range's slice of the row-major pair order and the
+    row and column of each of its pairs.
+    """
+    length = a - np.arange(a)
+    start = np.concatenate([[0], np.cumsum(length)])
+    bounds = [*np.unique(start[:-1] // _CHUNK, return_index=True)[1], a]
+    for r0, r1 in zip(bounds[:-1], bounds[1:]):
+        i = np.repeat(np.arange(r0, r1), length[r0:r1])
+        j = i + np.arange(start[r0], start[r1]) - np.repeat(start[r0:r1], length[r0:r1])
+        yield slice(start[r0], start[r1]), i, j
 
 
 @lru_cache(maxsize=8)
 def embedding_plan(n_orb: int, m: int, r: int) -> _EmbeddingPlan:
-    """Read-only decomposition of every rank-r embedding, upper triangle only."""
+    """Read-only decomposition of every rank-r embedding, upper triangle only.
+
+    Spectator sets are taken in combination order and each set's (mu <= nu)
+    pairs in row-major order, written straight into the two plan arrays about
+    _CHUNK terms at a time.
+    """
     basis_m, basis_r = _basis(n_orb, m), _basis(n_orb, r)
     d, dr = basis_m.dim, basis_r.dim
-    idx_m, idx_r = basis_m.index, basis_r.index
-    src_dtype = np.int32 if 2 * dr * dr < 2**31 else np.intp
+    n_tri = dr * (dr + 1) // 2
+    spect = np.array(list(itertools.combinations(range(n_orb), m - r)), dtype=np.intp)
     # every spectator set links C(n_orb - m + r, r) determinants
-    iu, ju = np.triu_indices(math.comb(n_orb - (m - r), r))
-    flats, srcs = [], []
-    for gamma in itertools.combinations(range(n_orb), m - r):
-        gmask = sum(1 << o for o in gamma)
-        free = [o for o in range(n_orb) if not gmask >> o & 1]
-        block = []
-        for alpha in itertools.combinations(free, r):
-            amask = sum(1 << o for o in alpha)
-            block.append((idx_m[amask | gmask], idx_r[amask], _crossing_parity(alpha, gmask)))
-        block.sort()  # ascending mu, so the pairs iu <= ju have mu <= nu
-        mu, act, par = (np.array(col, dtype=np.intp) for col in zip(*block))
-        flats.append(mu[iu] * d + mu[ju])
-        srcs.append((act[iu] * dr + act[ju] + (par[iu] ^ par[ju]) * dr * dr).astype(src_dtype))
-    parts = (np.concatenate(flats), np.concatenate(srcs))
-    for a in parts:
-        a.flags.writeable = False
-    return _EmbeddingPlan(*parts, d)
+    combos = np.array(sorted(itertools.combinations(range(n_orb - m + r), r),
+                             key=lambda c: sum(1 << i for i in c)), dtype=np.intp)
+    mu, act, par = _spectator_blocks(spect, combos, basis_m, basis_r)
+    # int32 wherever every index fits, as it does up to d = 46340; every
+    # product below fits the dtype of the array it is written to
+    mu = mu.astype(np.int32 if d * d < 2**31 else np.intp)
+    act, par = (x.astype(np.int32 if 2 * n_tri < 2**31 else np.intp) for x in (act, par))
+    flat = np.empty(len(mu) * len(combos) * (len(combos) + 1) // 2, dtype=mu.dtype)
+    src = np.empty(len(flat), dtype=act.dtype)
+    for cols, i, j in _triangle_rows(len(combos)):
+        step = max(1, _CHUNK // len(i))
+        for first in range(0, len(mu), step):
+            rows = slice(first, first + step)
+            flat.reshape(len(mu), -1)[rows, cols] = (
+                np.take(mu[rows], i, axis=1) * d + np.take(mu[rows], j, axis=1))
+            a, b = np.take(act[rows], i, axis=1), np.take(act[rows], j, axis=1)
+            a, b = np.minimum(a, b), np.maximum(a, b)  # w enters symmetrized
+            sign = np.take(par[rows], i, axis=1) ^ np.take(par[rows], j, axis=1)
+            src.reshape(len(mu), -1)[rows, cols] = a * (2 * dr - a - 1) // 2 + b + sign * n_tri
+    for arr in (flat, src):
+        arr.flags.writeable = False
+    return _EmbeddingPlan(flat, src, d)
+
+
+def _mirror_upper(out: np.ndarray) -> None:
+    """Copy the upper triangle of a square matrix into its lower one, in place.
+
+    The lower triangle must hold +0.0, so this is upper + upper^T off the
+    diagonal bit for bit (x + 0.0 == x for every sum the plan accumulates).
+    """
+    d = len(out)
+    for lo in range(0, d, _MIRROR_ROWS):
+        hi = min(lo + _MIRROR_ROWS, d)
+        out[lo:hi, :lo] = out[:lo, lo:hi].T
+        block = out[lo:hi, lo:hi]
+        block += np.triu(block, 1).T
 
 
 def embed_k_body(coeffs: np.ndarray, basis_m: FockBasis, basis_r: FockBasis) -> np.ndarray:
@@ -162,7 +220,9 @@ def embed_k_body(coeffs: np.ndarray, basis_m: FockBasis, basis_r: FockBasis) -> 
 
     coeffs[a, b] multiplies B+(a) B(b) summed over all rank-r determinant pairs;
     the result is the dense m-particle matrix of (coeffs + coeffs^T) / 2, the
-    symmetric part of the embedded coeffs, and is exactly symmetric.
+    symmetric part of the embedded coeffs, and is exactly symmetric.  Each
+    upper-triangle entry adds its terms in plan order, one chunk of terms at a
+    time, and the lower triangle is mirrored in place.
     """
     if basis_r.n_orb != basis_m.n_orb:
         raise ValueError("bases must share the orbital set")
@@ -172,11 +232,15 @@ def embed_k_body(coeffs: np.ndarray, basis_m: FockBasis, basis_r: FockBasis) -> 
         raise ValueError(f"coefficient matrix must be {basis_r.dim} x {basis_r.dim}")
     plan = embedding_plan(basis_m.n_orb, basis_m.n_part, basis_r.n_part)
     sym = 0.5 * (coeffs + coeffs.T)
-    signed = np.concatenate([sym.ravel(), -sym.ravel()])
-    upper = np.bincount(plan.flat, weights=signed.take(plan.src), minlength=plan.dim**2)
-    upper = upper.reshape(plan.dim, plan.dim)
-    out = upper + upper.T
-    np.fill_diagonal(out, upper.diagonal())  # the sum doubled it
+    tri = sym[~np.tri(len(sym), k=-1, dtype=bool)]
+    signed = np.concatenate([tri, -tri])
+    del sym, tri  # before the output exists, so the peak is out plus signed
+    out = np.zeros((plan.dim, plan.dim))
+    upper = out.ravel()
+    for lo in range(0, len(plan.src), _CHUNK):
+        hi = lo + _CHUNK
+        np.add.at(upper, plan.flat[lo:hi], signed.take(plan.src[lo:hi]))
+    _mirror_upper(out)
     return out
 
 

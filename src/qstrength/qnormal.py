@@ -1,4 +1,4 @@
-"""q-normal distributions, q-Hermite polynomials, and the conditional density.
+"""q-normal distributions and the conditional density.
 
 The q-normal family interpolates between the semicircle law (q = 0) and the
 standard Gaussian (q = 1) while keeping zero mean and unit variance.  The
@@ -12,10 +12,8 @@ truncated per q below machine precision and summed in blocks of at most
 
 Conventions: the univariate support is (-2/sqrt(1-q), +2/sqrt(1-q)), open at
 the endpoints where the density vanishes like a square root; densities are 0
-outside and exactly on the boundary.  The q-Hermite polynomials H_n(x|q)
-follow the three-term recurrence H_{n+1} = x H_n - [n]_q H_{n-1} with
-[n]_q = (1-q^n)/(1-q); at q = 1 they reduce to the probabilists' Hermite
-polynomials and the densities to (bivariate) Gaussians.
+outside and exactly on the boundary.  At q = 1 the densities reduce to
+(bivariate) Gaussians.
 """
 
 from __future__ import annotations
@@ -29,11 +27,9 @@ import numpy as np
 __all__ = [
     "Support",
     "ConditionalMoments",
-    "q_hermite",
     "support",
     "f_qn",
     "h_factor",
-    "f_biv_qn",
     "f_cqn",
     "cqn_conditional_moments",
     "QuadratureError",
@@ -123,26 +119,6 @@ def support(q: float) -> Support:
     return Support(-half, half)
 
 
-def q_hermite(n: int, x, q: float):
-    """H_n(x | q) by the three-term recurrence; vectorized over x.
-
-    H_0 = 1, H_1 = x, H_{n+1}(x|q) = x H_n(x|q) - [n]_q H_{n-1}(x|q) with the
-    q-number [n]_q = (1-q^n)/(1-q) ([n]_1 = n).  q = 1 gives He_n(x).
-    """
-    if n < 0:
-        raise ValueError("polynomial order must be >= 0")
-    q = _check_q(q)
-    x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if n == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = x.copy()
-    for j in range(1, n):
-        qnum = j if q == 1.0 else (1.0 - q**j) / (1.0 - q)
-        h, h_prev = x * h - qnum * h_prev, h
-    return h if h.ndim else float(h)
-
-
 def _log_product(x: np.ndarray, powers: np.ndarray, log_factors, start=0.0) -> np.ndarray:
     """start + the row sums of log_factors(x, powers), a (points x factors) array.
 
@@ -224,11 +200,6 @@ def h_factor(x, y: float, xi: float, q: float):
         inside = support(q).contains(x1)
         out[inside] = np.exp(_log_product(x1[inside], _q_powers(q), log_factors))
     return float(out[0]) if scalar else out.reshape(x.shape)
-
-
-def f_biv_qn(x, y: float, xi: float, q: float):
-    """Bivariate q-normal density f_biv_qN(x, y | xi, q), vectorized over x."""
-    return f_qn(x, q) * f_qn(y, q) * h_factor(x, y, xi, q)
 
 
 def f_cqn(x, y: float, xi: float, q: float):

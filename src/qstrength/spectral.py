@@ -249,14 +249,23 @@ def strength_l1(report: StrengthReport, qs: QParameterSet) -> np.ndarray:
     return np.sum(np.abs(f_emp - bench) * np.diff(report.edges), axis=1)
 
 
+# On the unit-width axis a centred window's e0_mean is summation rounding, at
+# most n * eps * |e| (1e-11 for a million terms); launch energies are >> 1e-9.
+_CENTER_E0 = 1e-9
+
+
 def centroid_slope(report: StrengthReport, e0_max: float | None = None) -> float:
-    """Weighted through-origin slope of window centroids against launch energy."""
+    """Weighted through-origin slope of window centroids against launch energy.
+
+    Raises ValueError unless some window's launch energy is off centre, beyond
+    the rounding of a centred window's mean.
+    """
     mom = report.window_moments()
     e0, mean, w = mom["e0_mean"], mom["mean"], mom["weight"]
     keep = np.isfinite(e0) & np.isfinite(mean)
     if e0_max is not None:
         keep &= np.abs(e0) <= e0_max
-    if not np.any(keep & (np.abs(e0) > 0)):
+    if not np.any(keep & (np.abs(e0) > _CENTER_E0)):
         raise ValueError("no off-center windows available for a slope fit")
     num = float(np.sum(w[keep] * e0[keep] * mean[keep]))
     den = float(np.sum(w[keep] * e0[keep] ** 2))

@@ -480,6 +480,31 @@ def test_check_reports_a_gate_without_windows_as_fail(tmp_path, windows):
     assert "FAIL  gamma1-windows: no window with |e0| in [0.25, 1.5]" in proc.stdout
 
 
+def test_centre_window_alone_is_not_an_off_center_window(tmp_path):
+    # its e0_mean is rounding (~3e-17), which once gave slope=7003589068472987
+    code, out, _ = run_cli(["simulate", *SMALL_SYSTEM, "--members", "4", "--check",
+                            "--windows=0", "--out", str(tmp_path)])
+    assert code == 1
+    assert "FAIL  centroid-slope: no off-center windows available for a slope fit" in out
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+def test_failed_members_leave_no_empty_out_behind(tmp_path, monkeypatch, existing):
+    def fail(cfg, member):
+        raise ValueError("forced failure")
+
+    monkeypatch.setattr(cli.ensemble, "member_spectra", fail)
+    out = tmp_path / "runs" / "a"
+    if existing:
+        out.mkdir(parents=True)
+    with pytest.raises(SystemExit, match="^4 of 4 members failed"):
+        cli.main(["simulate", *SMALL_SYSTEM, "--members", "4", "--out", str(out)])
+    assert out.is_dir() == existing
+    assert (tmp_path / "runs").exists() == existing
+    if existing:
+        assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("which", ["missing", "directory"])
 def test_unreadable_config_file_exits_without_traceback(tmp_path, which):
     path = tmp_path / "absent.cfg" if which == "missing" else tmp_path

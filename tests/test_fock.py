@@ -8,6 +8,7 @@ m-particle sector and compared elementwise against embed_k_body.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,7 +173,35 @@ def test_plan_holds_the_upper_triangle_only():
     # 66 spectator pairs, each linking C(10, 4) = 210 determinants
     plan = embedding_plan(12, 6, 4)
     assert len(plan.flat) == len(plan.src) == 66 * 210 * 211 // 2 == 1_462_230
-    assert plan.flat.nbytes + plan.src.nbytes <= 18_000_000
+    assert plan.flat.dtype == plan.src.dtype == np.int32
+    assert plan.flat.nbytes + plan.src.nbytes <= 12_000_000
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("r", [4, 6])  # 66 spectator sets; one set of 924 determinants
+def test_cold_plan_build_stays_near_the_plan_size(r):
+    build_basis(12, 6), build_basis(12, r)
+    embedding_plan.cache_clear()
+    plan, peak = _traced_peak(lambda: embedding_plan(12, 6, r))
+    # 2 MB of working arrays: 1.17 times the 11.7 MB plan at rank 4
+    assert peak <= plan.flat.nbytes + plan.src.nbytes + 2e6
+
+
+def test_embedding_needs_one_output_matrix_and_the_signed_coefficients():
+    basis_m, basis_r = build_basis(12, 6), build_basis(12, 4)
+    g = sample_goe(basis_r.dim, 3, 4)
+    embed_k_body(g, basis_m, basis_r)  # the plan is cached before tracing
+    out, peak = _traced_peak(lambda: embed_k_body(g, basis_m, basis_r))
+    # [u, -u] is 1.96 MB at rank 4; each chunk of terms adds well under 1 MB
+    assert peak <= out.nbytes + 2.5e6
 
 
 def test_basis_states_ascending_and_indexed():

@@ -9,17 +9,15 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from cqn_quadrature import cqn_moment_quadrature, verify_cqn_reproducing
+from cqn_quadrature import cqn_moment_quadrature, f_biv_qn, q_hermite, verify_cqn_reproducing
 
 from qstrength import qnormal
 from qstrength.qnormal import (
     QuadratureError,
     cqn_conditional_moments,
-    f_biv_qn,
     f_cqn,
     f_qn,
     h_factor,
-    q_hermite,
     support,
 )
 
