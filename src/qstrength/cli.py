@@ -289,7 +289,10 @@ def cmd_simulate(args) -> int:
         for member, message in result.failures:
             print(f"failed member {member} (seed {run_cfg.seed}): {message}", file=sys.stderr)
         for path in created:  # nothing was written: leave no empty --out behind
-            path.rmdir()
+            try:
+                path.rmdir()
+            except OSError:  # written into or removed meanwhile: leave it as it is
+                pass
         raise SystemExit(f"{len(result.failures)} of {run_cfg.members} members failed (>1%)")
     # The hash covers only result-determining config: execution details like
     # worker count or output directory must not change the emitted bytes.

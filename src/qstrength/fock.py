@@ -134,34 +134,21 @@ def _spectator_blocks(spect, combos, basis_m, basis_r):
 
     spect is (g, m - r) spectator orbitals, combos (A, r) positions among a
     row's free orbitals in ascending bitmask order, so mu ascends along a row.
-    par is the crossing parity of pulling the active orbitals out of mu.
+    par is the crossing parity of pulling the active orbitals out of mu: the
+    parity of the number of spectators below them.
     """
     one = np.uint64(1)
+    rows = np.arange(len(spect))
     occupied = np.zeros((len(spect), basis_m.n_orb), dtype=bool)
-    occupied[np.arange(len(spect))[:, None], spect] = True
+    occupied[rows[:, None], spect] = True
     free = np.nonzero(~occupied)[1].reshape(len(spect), -1)
     gmask = (one << spect.astype(np.uint64)).sum(axis=1, dtype=np.uint64)[:, None]
-    alpha = free[:, combos].astype(np.uint64)
-    amask = (one << alpha).sum(axis=2, dtype=np.uint64)
-    below = np.bitwise_count(gmask[:, :, None] & ((one << alpha) - one))
-    par = below.sum(axis=2, dtype=np.intp) & 1
+    alpha = free[:, combos]
+    amask = (one << alpha.astype(np.uint64)).sum(axis=2, dtype=np.uint64)
+    below = np.cumsum(occupied, axis=1)[rows[:, None, None], alpha]
+    par = below.sum(axis=2) & 1
     mu = np.searchsorted(basis_m.states, amask | gmask)
     return mu, np.searchsorted(basis_r.states, amask), par
-
-
-def _triangle_rows(a: int):
-    """Row ranges of the a x a upper triangle, about _CHUNK pairs (i <= j) each.
-
-    Yields (cols, i, j): the range's slice of the row-major pair order and the
-    row and column of each of its pairs.
-    """
-    length = a - np.arange(a)
-    start = np.concatenate([[0], np.cumsum(length)])
-    bounds = [*np.unique(start[:-1] // _CHUNK, return_index=True)[1], a]
-    for r0, r1 in zip(bounds[:-1], bounds[1:]):
-        i = np.repeat(np.arange(r0, r1), length[r0:r1])
-        j = i + np.arange(start[r0], start[r1]) - np.repeat(start[r0:r1], length[r0:r1])
-        yield slice(start[r0], start[r1]), i, j
 
 
 @lru_cache(maxsize=8)
@@ -169,8 +156,7 @@ def embedding_plan(n_orb: int, m: int, r: int) -> _EmbeddingPlan:
     """Read-only decomposition of every rank-r embedding, upper triangle only.
 
     Spectator sets are taken in combination order and each set's (mu <= nu)
-    pairs in row-major order, written straight into the two plan arrays about
-    _CHUNK terms at a time.
+    pairs in row-major order, written straight into the two plan arrays.
     """
     basis_m, basis_r = _basis(n_orb, m), _basis(n_orb, r)
     d, dr = basis_m.dim, basis_r.dim
@@ -184,18 +170,18 @@ def embedding_plan(n_orb: int, m: int, r: int) -> _EmbeddingPlan:
     # product below fits the dtype of the array it is written to
     mu = mu.astype(np.int32 if d * d < 2**31 else np.intp)
     act, par = (x.astype(np.int32 if 2 * n_tri < 2**31 else np.intp) for x in (act, par))
-    flat = np.empty(len(mu) * len(combos) * (len(combos) + 1) // 2, dtype=mu.dtype)
-    src = np.empty(len(flat), dtype=act.dtype)
-    for cols, i, j in _triangle_rows(len(combos)):
-        step = max(1, _CHUNK // len(i))
-        for first in range(0, len(mu), step):
-            rows = slice(first, first + step)
-            flat.reshape(len(mu), -1)[rows, cols] = (
-                np.take(mu[rows], i, axis=1) * d + np.take(mu[rows], j, axis=1))
-            a, b = np.take(act[rows], i, axis=1), np.take(act[rows], j, axis=1)
-            a, b = np.minimum(a, b), np.maximum(a, b)  # w enters symmetrized
-            sign = np.take(par[rows], i, axis=1) ^ np.take(par[rows], j, axis=1)
-            src.reshape(len(mu), -1)[rows, cols] = a * (2 * dr - a - 1) // 2 + b + sign * n_tri
+    iu, ju = np.triu_indices(len(combos))
+    flat = np.empty((len(mu), len(iu)), dtype=mu.dtype)
+    src = np.empty((len(mu), len(iu)), dtype=act.dtype)
+    step = max(1, _CHUNK // len(iu))  # spectator sets written per step
+    for first in range(0, len(mu), step):
+        g = slice(first, first + step)
+        flat[g] = mu[g].take(iu, axis=1) * d + mu[g].take(ju, axis=1)
+        a, b = act[g].take(iu, axis=1), act[g].take(ju, axis=1)
+        a, b = np.minimum(a, b), np.maximum(a, b)  # w enters symmetrized
+        sign = par[g].take(iu, axis=1) ^ par[g].take(ju, axis=1)
+        src[g] = a * (2 * dr - a - 1) // 2 + b + sign * n_tri
+    flat, src = flat.ravel(), src.ravel()
     for arr in (flat, src):
         arr.flags.writeable = False
     return _EmbeddingPlan(flat, src, d)

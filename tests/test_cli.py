@@ -505,6 +505,19 @@ def test_failed_members_leave_no_empty_out_behind(tmp_path, monkeypatch, existin
         assert not any(out.iterdir())
 
 
+def test_failed_members_keep_an_out_written_into_during_the_run(tmp_path, monkeypatch):
+    out = tmp_path / "runs" / "a"
+
+    def fail(cfg, member):
+        (out / "other.txt").write_text("written by another process\n")
+        raise ValueError("forced failure")
+
+    monkeypatch.setattr(cli.ensemble, "member_spectra", fail)
+    with pytest.raises(SystemExit, match="^4 of 4 members failed"):
+        cli.main(["simulate", *SMALL_SYSTEM, "--members", "4", "--out", str(out)])
+    assert sorted(p.name for p in out.iterdir()) == ["other.txt"]
+
+
 @pytest.mark.parametrize("which", ["missing", "directory"])
 def test_unreadable_config_file_exits_without_traceback(tmp_path, which):
     path = tmp_path / "absent.cfg" if which == "missing" else tmp_path

@@ -186,13 +186,12 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("r", [4, 6])  # 66 spectator sets; one set of 924 determinants
-def test_cold_plan_build_stays_near_the_plan_size(r):
-    build_basis(12, 6), build_basis(12, r)
+def test_cold_plan_build_stays_near_the_plan_size():
+    build_basis(12, 6), build_basis(12, 4)
     embedding_plan.cache_clear()
-    plan, peak = _traced_peak(lambda: embedding_plan(12, 6, r))
-    # 2 MB of working arrays: 1.17 times the 11.7 MB plan at rank 4
-    assert peak <= plan.flat.nbytes + plan.src.nbytes + 2e6
+    plan, peak = _traced_peak(lambda: embedding_plan(12, 6, 4))
+    # 66 spectator sets, written one at a time: 1.2 times the 11.7 MB plan
+    assert peak <= 1.2 * (plan.flat.nbytes + plan.src.nbytes)
 
 
 def test_embedding_needs_one_output_matrix_and_the_signed_coefficients():
