@@ -8,7 +8,6 @@ that cross-validates the analytic predictions.
 from .bca import (
     QParameterSet,
     SystemParams,
-    bivariate_moments,
     q_params_finite,
     q_params_infinite,
     strength_moment_prediction,
@@ -22,7 +21,6 @@ __all__ = [
     "QParameterSet",
     "SystemParams",
     "RunConfig",
-    "bivariate_moments",
     "f_cqn",
     "f_qn",
     "q_params_finite",

@@ -15,10 +15,9 @@ supplies the closed combinatorics behind that statement:
   cross parameter entering strength functions) and the composed q_H for H,
   again as N -> infinity ratios of binomials and as finite-N sums over
   irreducible rank contributions;
-* the low bivariate moments mu_PQ of the (H0, H) eigenvalue pair and the
-  predicted centroid, variance, skewness and excess kurtosis of a strength
-  function originating from an H0 eigenvalue, including the correction term
-  that goes beyond the conditional q-normal form.
+* the predicted centroid, variance, skewness and excess kurtosis of a
+  strength function originating from an H0 eigenvalue, including the
+  correction term that goes beyond the conditional q-normal form.
 
 All binomials are exact integers; out-of-range binomials count zero ways.
 """
@@ -33,7 +32,6 @@ from .qnormal import cqn_conditional_moments
 __all__ = [
     "SystemParams",
     "QParameterSet",
-    "BivariateMomentSet",
     "StrengthMomentPrediction",
     "binom",
     "bold_lambda_sq",
@@ -41,10 +39,8 @@ __all__ = [
     "lambda_thermo",
     "lam_from_bold",
     "q_params_infinite",
-    "bivariate_moments",
     "lambda_capital",
     "d_weight",
-    "trace_variance",
     "xi_sq_finite",
     "lam_for_xi_sq",
     "resolve_system",
@@ -131,18 +127,6 @@ class QParameterSet:
 
 
 @dataclass(frozen=True)
-class BivariateMomentSet:
-    """Reduced bivariate moments mu_PQ = <H0^P H^Q> / (sigma_H0^P sigma_H^Q)."""
-
-    mu11: float
-    mu40: float
-    mu04: float
-    mu31: float
-    mu13: float
-    mu22: float
-
-
-@dataclass(frozen=True)
 class StrengthMomentPrediction:
     """Predicted shape of a strength function launched from H0 eigenvalue e_hat_kappa.
 
@@ -192,7 +176,7 @@ def lam_from_bold(bold_sq: float, N: int, t: int, k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# N -> infinity q parameters and bivariate moments
+# N -> infinity q parameters
 
 
 def q_params_infinite(m: int, t: int, k: int, xi_sq: float) -> QParameterSet:
@@ -210,20 +194,6 @@ def q_params_infinite(m: int, t: int, k: int, xi_sq: float) -> QParameterSet:
 
 def _compose_q_big(q_h: float, q_v: float, q_hv: float, xi_sq: float) -> float:
     return xi_sq**2 * q_h + (1.0 - xi_sq) ** 2 * q_v + 2.0 * xi_sq * (1.0 - xi_sq) * q_hv
-
-
-def bivariate_moments(qs: QParameterSet) -> BivariateMomentSet:
-    """Reduced bivariate (H0, H) moments through fourth order."""
-    xi, xi_sq = qs.xi, qs.xi_sq
-    mu40 = 2.0 + qs.q_h
-    return BivariateMomentSet(
-        mu11=xi,
-        mu40=mu40,
-        mu04=2.0 + qs.q_H,
-        mu31=xi * mu40,
-        mu13=xi * (2.0 + xi_sq * qs.q_h + (1.0 - xi_sq) * qs.q_hv),
-        mu22=xi_sq * mu40 + (1.0 - xi_sq),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -255,28 +225,6 @@ def q_hv_finite(N: int, m: int, t: int, k: int) -> float:
         for nu in range(min(t, m - k) + 1)
     )
     return num / (binom(N, m) * lambda_capital(N, m, t) * lambda_capital(N, m, k))
-
-
-def trace_variance(N: int, m: int, r: int) -> int:
-    """Exact ensemble-averaged <W^2> = tr(W^2)/dim for an embedded rank-r GOE, unit v.
-
-    Equals lambda_capital(N, m, r) plus the binom(m, r) diagonal-doubling term
-    of the defining GOE (diagonal entries carry variance 2).
-    """
-    return binom(m, r) * (binom(N - m + r, r) + 1)
-
-
-def centered_trace_variance(N: int, m: int, r: int) -> float:
-    """Exact ensemble mean of the per-member centered width tr(W^2)/d - (tr W/d)^2.
-
-    Every m-particle diagonal element sums the C(N-r, m-r)-fold repeats of the
-    rank-r diagonal couplings, so the fluctuating spectrum centroid carries
-    variance 2 C(N,r) [C(N-r, m-r)/d]^2, which subtracts from trace_variance.
-    Spectra standardized member by member see exactly this variance scale.
-    """
-    d = binom(N, m)
-    centroid_var = 2.0 * binom(N, r) * (binom(N - r, m - r) / d) ** 2
-    return trace_variance(N, m, r) - centroid_var
 
 
 def xi_sq_finite(N: int, m: int, t: int, k: int, lam: float) -> float:
@@ -364,18 +312,9 @@ def delta_table_rows(N: int, m: int, e_hats=(0.0, 1.0, 2.0)) -> list[dict]:
     for k in range(2, m + 1):
         fin = q_params_finite(N, m, t, k, 0.5)
         inf_ = q_params_infinite(m, t, k, 0.5)
-        row = {
-            "N": N,
-            "m": m,
-            "t": t,
-            "k": k,
-            "q_h": fin.q_h,
-            "q_h_inf": inf_.q_h,
-            "q_v": fin.q_v,
-            "q_v_inf": inf_.q_v,
-            "q_hv": fin.q_hv,
-            "q_hv_inf": inf_.q_hv,
-        }
+        row = {"N": N, "m": m, "t": t, "k": k}
+        for name in ("q_h", "q_v", "q_hv"):
+            row |= {name: getattr(fin, name), f"{name}_inf": getattr(inf_, name)}
         for e in e_hats:
             row[f"delta_{e:g}"] = strength_moment_prediction(e, fin, m, t, k).delta
         rows.append(row)
@@ -394,16 +333,6 @@ def composition_table_rows(systems=((12, 6), (24, 8), (40, 12)), ks=(2, 3, 4)) -
     for N, m in systems:
         for k in ks:
             qs = q_params_finite(N, m, t, k, 0.5)
-            rows.append(
-                {
-                    "N": N,
-                    "m": m,
-                    "t": t,
-                    "k": k,
-                    "q_h": qs.q_h,
-                    "q_v": qs.q_v,
-                    "q_hv": qs.q_hv,
-                    "q_H": qs.q_H,
-                }
-            )
+            rows.append({"N": N, "m": m, "t": t, "k": k,
+                         **{name: getattr(qs, name) for name in ("q_h", "q_v", "q_hv", "q_H")}})
     return rows

@@ -94,6 +94,20 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     return lo, hi, n
 
 
+def _finite_grid(args) -> tuple[float, float, int]:
+    """(lo, hi, count) of the --grid of params, npc or qnormal.
+
+    A non-finite grid bound or --windows center exits with one line; simulate
+    leaves these checks to RunConfig, whose message names the field.
+    """
+    lo, hi, n = _parse_grid(args.grid)
+    if not np.all(np.isfinite((lo, hi))):
+        raise SystemExit(f"bad grid spec {args.grid!r}; need finite bounds")
+    if not np.all(np.isfinite(getattr(args, "windows", ()))):
+        raise SystemExit(f"bad window list {args.windows}; need finite centers")
+    return lo, hi, n
+
+
 def _parse_centers(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(tok) for tok in text.split(",") if tok.strip())
@@ -118,7 +132,11 @@ def _load_config_file(path: str, keys) -> dict:
         if key.strip() in keys:
             values[key.strip()] = value.strip()
     if "moments" in values:  # a flag without a value, so it has no type to convert with
-        values["moments"] = values["moments"].lower() in ("1", "true", "yes")
+        word = values["moments"].lower()
+        if word not in ("1", "true", "yes", "0", "false", "no"):
+            raise SystemExit(f"bad config value moments={values['moments']!r}; "
+                             "expected 1, true, yes, 0, false or no")
+        values["moments"] = word in ("1", "true", "yes")
     return values
 
 
@@ -188,6 +206,7 @@ def _config_items(args, keys) -> dict:
 
 def cmd_params(args) -> int:
     params = _system(args)
+    _finite_grid(args)
     qs = params.qs_finite
     items = _coupling_block(params, args.xi_sq) | {"predictions_enabled": qs is not None}
     tables = {"params.csv": _key_values(items)}
@@ -204,8 +223,7 @@ def cmd_params(args) -> int:
 
 
 def cmd_qnormal(args) -> int:
-    lo, hi, n = _parse_grid(args.grid)
-    x = np.linspace(lo, hi, n)
+    x = np.linspace(*_finite_grid(args))
     items = {"grid": args.grid, "q": args.q}
     if (args.y is None) != (args.xi is None):
         raise SystemExit("--y and --xi must be supplied together")
@@ -230,8 +248,7 @@ def cmd_npc(args) -> int:
     qs = params.qs_finite
     if qs is None:
         raise SystemExit("NPC curve needs 0 < xi^2 < 1 (nonzero coupling)")
-    lo, hi, n = _parse_grid(args.grid)
-    x = np.linspace(lo, hi, n)
+    x = np.linspace(*_finite_grid(args))
     _write_csv(args.out, _meta_lines(_config_items(args, _PARAM_KEYS)),
                {"x": x, "npc": spectral.npc_integral(x, qs, dim=params.dim)})
     return 0
@@ -299,7 +316,7 @@ def cmd_simulate(args) -> int:
     hashed = set(_SIM_KEYS) - {"workers", "out"}
     meta = _meta_lines(_config_items(args, hashed), seed=run_cfg.seed)
 
-    qs, rep, chaos = result.qs_finite, result.strength, result.chaos
+    qs, rep, chaos = result.system.qs_finite, result.strength, result.chaos
     items = _coupling_block(result.system, args.xi_sq) | {
         "predictions_enabled": qs is not None, "members_failed": len(result.failures)}
     npc_curve = (np.full(chaos.bin_centers.shape, np.nan) if qs is None
@@ -313,12 +330,7 @@ def cmd_simulate(args) -> int:
         tables["strength_functions.csv"] = _strength_table(rep, qs)
         tables["moments.csv"] = _moment_table(rep, qs, run_cfg.m, run_cfg.t, run_cfg.k)
     if result.moments is not None:
-        emp = result.moments.finalize()
-        biv = {"member_count": emp.member_count, "sigma_h0": emp.sigma_h0, "sigma_h": emp.sigma_h}
-        for name in emp.member_mean:
-            biv |= {name: getattr(emp, name), f"{name}_member_mean": emp.member_mean[name],
-                    f"{name}_member_std": emp.member_std[name]}
-        tables["bivariate.csv"] = _key_values(biv)
+        tables["bivariate.csv"] = _key_values(result.moments.finalize())
     _write_tables(out_dir, meta, tables)
 
     if args.check:

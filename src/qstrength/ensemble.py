@@ -14,7 +14,9 @@ embedded mean field H0, where the unperturbed states |kappa> are unit vectors:
 Either way H = diag(E0) + lam * V' is diagonalized once, and its eigenvectors u
 give the strength W = u * u directly.  Members are completely determined by
 (master seed, member index), so any subset can be recomputed anywhere; worker
-processes only change where a member is computed, never its result.
+processes only change where a member is computed, never its result.  Each
+worker runs its BLAS on one thread when the loaded OpenBLAS exposes a thread
+setter, so a pool does not oversubscribe the cores.
 
 Each member yields one tuple of partial sums: a StrengthReport (overlap rows
 selected by windows on the standardized H0 spectrum), ChaosMeasures (NPC and
@@ -28,6 +30,8 @@ which makes the final numbers byte-identical for any worker count.
 
 from __future__ import annotations
 
+import ctypes
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -107,10 +111,6 @@ class EnsembleResult:
     moments: spectral.BivariateMomentAccumulator | None
     failures: tuple[tuple[int, str], ...]
 
-    @property
-    def qs_finite(self) -> bca.QParameterSet | None:
-        return self.system.qs_finite
-
 
 class MemberSpectra(NamedTuple):
     """One member in the H0 eigenbasis; rows of overlap_sq follow e0's order."""
@@ -172,6 +172,26 @@ def _task(args):
     return run_member(*args)
 
 
+def _blas_thread_setter():
+    """The thread-count setter of the OpenBLAS numpy bundles, or None if none is loaded."""
+    try:
+        with open("/proc/self/maps") as fh:  # the mapped files, on Linux
+            libs = {path for path in (line.split()[-1] for line in fh)
+                    if path.startswith("/") and "openblas" in path.lower()}
+    except OSError:
+        return None
+    setters = (getattr(ctypes.CDLL(lib), "scipy_openblas_set_num_threads64_", None)
+               for lib in sorted(libs))
+    return next((setter for setter in setters if setter is not None), None)
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: this worker's BLAS runs on one thread."""
+    setter = _blas_thread_setter()
+    if setter is not None:
+        setter(1)
+
+
 def run_ensemble(cfg: RunConfig) -> EnsembleResult:
     """Run all members and reduce their partial sums in member order."""
     # Build the embedding and compound tables up front so forked workers
@@ -187,7 +207,10 @@ def run_ensemble(cfg: RunConfig) -> EnsembleResult:
         outcomes = list(map(_task, tasks))
     else:
         chunk = max(1, cfg.members // (4 * cfg.workers))
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        if _blas_thread_setter() is None:
+            print("no OpenBLAS thread setter found: workers keep the default BLAS threads",
+                  file=sys.stderr)
+        with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_one_blas_thread) as pool:
             outcomes = list(pool.map(_task, tasks, chunksize=chunk))
     sums = outcomes[0][0]
     for partial, _ in outcomes[1:]:
@@ -212,7 +235,7 @@ def run_checks(result: EnsembleResult) -> list[tuple[str, bool, str]]:
         )
     )
     rep = result.strength
-    qs = result.qs_finite
+    qs = result.system.qs_finite
     if qs is None:
         npc = result.chaos.npc()
         good = np.nanmax(np.abs(npc - 1.0)) == 0.0 and np.nanmax(result.chaos.s_info()) == 0.0

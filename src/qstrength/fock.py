@@ -40,7 +40,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
@@ -65,7 +64,6 @@ class FockBasis:
     n_orb: int
     n_part: int
     states: np.ndarray = field(repr=False)
-    index: MappingProxyType = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -97,8 +95,7 @@ def _basis(n_orb: int, n_part: int) -> FockBasis:
     )
     states = np.array(masks, dtype=np.uint64)
     states.flags.writeable = False
-    index = MappingProxyType({mk: i for i, mk in enumerate(masks)})
-    return FockBasis(n_orb, n_part, states, index)
+    return FockBasis(n_orb, n_part, states)
 
 
 def sample_goe(dim: int, master_seed: int, member: int, stream: int = 0) -> np.ndarray:
@@ -245,12 +242,10 @@ def compound_plan(n_orb: int, r: int) -> _CompoundPlan:
     """Read-only index tables for the Laplace step C_{r-1} -> C_r over n_orb orbitals."""
     if not 2 <= r <= n_orb:
         raise ValueError(f"need 2 <= r <= n_orb, got {r}, {n_orb}")
-    basis_r, idx_s = _basis(n_orb, r), _basis(n_orb, r - 1).index
-    orbs = [[o for o in range(n_orb) if mk >> o & 1] for mk in basis_r.states.tolist()]
-    minors = [
-        [idx_s[mk ^ (1 << o)] for o in row] for mk, row in zip(basis_r.states.tolist(), orbs)
-    ]
-    parts = (np.asarray(orbs, dtype=np.intp), np.asarray(minors, dtype=np.intp))
+    basis_r, states_s = _basis(n_orb, r), _basis(n_orb, r - 1).states
+    orbs = np.nonzero(basis_r.occupations)[1].reshape(-1, r)  # row-major: ascending per row
+    without = basis_r.states[:, None] ^ (np.uint64(1) << orbs.astype(np.uint64))
+    parts = (orbs, np.searchsorted(states_s, without))
     for a in parts:
         a.flags.writeable = False
     return _CompoundPlan(*parts)

@@ -72,11 +72,7 @@ def _num_factors(q: float) -> int:
 
 def _gaussian_regime(q: float) -> bool:
     """True when the product form is dropped in favour of the Gaussian limit."""
-    if q >= 1.0:
-        return True
-    if q <= 0.0:
-        return False
-    return math.log(_FACTOR_EPS) / math.log(q) > _MAX_FACTORS
+    return q >= 1.0 or (q > 0.0 and math.log(_FACTOR_EPS) / math.log(q) > _MAX_FACTORS)
 
 
 @lru_cache(maxsize=64)
@@ -91,10 +87,6 @@ class Support:
 
     lo: float
     hi: float
-
-    @property
-    def is_infinite(self) -> bool:
-        return math.isinf(self.hi)
 
     def contains(self, x) -> np.ndarray | bool:
         """Strict interior test; the density is 0 on the boundary itself."""

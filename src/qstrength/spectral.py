@@ -35,7 +35,6 @@ __all__ = [
     "StrengthReport",
     "ChaosMeasures",
     "BivariateMomentAccumulator",
-    "EmpiricalBivariateMoments",
     "diagonalize",
     "overlaps",
     "standardize",
@@ -201,10 +200,7 @@ class StrengthReport(_Sums):
         """Empirical mean/variance/gamma1/gamma2 per window from the raw weights."""
         with np.errstate(invalid="ignore", divide="ignore"):
             w = np.where(self.weight > 0, self.weight, np.nan)
-            m1 = self.power_sums[:, 0] / w
-            m2 = self.power_sums[:, 1] / w
-            m3 = self.power_sums[:, 2] / w
-            m4 = self.power_sums[:, 3] / w
+            m1, m2, m3, m4 = self.power_sums.T / w
             var = m2 - m1**2
             mc3 = m3 - 3.0 * m1 * m2 + 2.0 * m1**3
             mc4 = m4 - 4.0 * m1 * m3 + 6.0 * m1**2 * m2 - 3.0 * m1**4
@@ -386,29 +382,6 @@ def npc_integral(x: np.ndarray, qs: QParameterSet, dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # bivariate trace moments
 
-
-@dataclass(frozen=True)
-class EmpiricalBivariateMoments:
-    """Ensemble-trace bivariate moments plus member-to-member statistics.
-
-    The headline values are ratios of ensemble-averaged traces; member_mean and
-    member_std hold the mean and spread of the per-member reduced moments, for
-    error-band comparisons.
-    """
-
-    member_count: int
-    sigma_h0: float
-    sigma_h: float
-    mu11: float
-    mu40: float
-    mu04: float
-    mu31: float
-    mu13: float
-    mu22: float
-    member_mean: dict
-    member_std: dict
-
-
 _REDUCED_NAMES = ("mu11", "mu40", "mu04", "mu31", "mu13", "mu22")
 
 
@@ -453,7 +426,12 @@ class BivariateMomentAccumulator(_Sums):
         self.value_sq_sums += vals**2
         self.member_count += 1
 
-    def finalize(self) -> EmpiricalBivariateMoments:
+    def finalize(self) -> dict:
+        """The {key: value} table bivariate.csv holds, in its order.
+
+        member_count, sigma_h0 and sigma_h, then per reduced moment its value from
+        the ensemble-averaged traces and the mean and spread of the member values.
+        """
         if self.member_count == 0:
             raise ValueError("no members accumulated")
         n = self.member_count
@@ -462,12 +440,10 @@ class BivariateMomentAccumulator(_Sums):
         var = mean_sq - mean**2
         # within the one-pass formula's rounding bound the spread is unresolved
         var[var <= (n + 2) * np.finfo(float).eps * mean_sq] = 0.0
-        std = np.sqrt(var)
-        return EmpiricalBivariateMoments(
-            member_count=n,
-            sigma_h0=math.sqrt(traces[0]),
-            sigma_h=math.sqrt(traces[2]),
-            **dict(zip(_REDUCED_NAMES, _reduced(traces).tolist())),
-            member_mean=dict(zip(_REDUCED_NAMES, mean)),
-            member_std=dict(zip(_REDUCED_NAMES, std)),
-        )
+        table = {"member_count": n, "sigma_h0": math.sqrt(traces[0]),
+                 "sigma_h": math.sqrt(traces[2])}
+        for name, value, member_mean, member_std in zip(
+                _REDUCED_NAMES, _reduced(traces).tolist(), mean, np.sqrt(var)):
+            table |= {name: value, f"{name}_member_mean": member_mean,
+                      f"{name}_member_std": member_std}
+        return table

@@ -52,11 +52,10 @@ def f_biv_qn(x, y: float, xi: float, q: float):
 
 def _quad_cqn(func, y: float, xi: float, q: float, tol: float) -> float:
     sup = support(q)
-    lo, hi = (-np.inf, np.inf) if sup.is_infinite else (sup.lo, sup.hi)
     val, err = quad(
         lambda x: func(x) * f_cqn(x, y, xi, q),
-        lo,
-        hi,
+        sup.lo,
+        sup.hi,
         epsabs=0.1 * tol,
         epsrel=0.1 * tol,
         limit=400,

@@ -14,6 +14,7 @@ from scipy.integrate import quad
 
 from cqn_quadrature import cqn_moment_quadrature, verify_cqn_reproducing
 from test_bca import TABLE_A, TABLE_B
+from trace_formulas import bivariate_moments
 
 from qstrength import bca, fock, spectral
 from qstrength.ensemble import RunConfig, run_ensemble
@@ -176,7 +177,7 @@ def test_05_conditional_moment_identity():
 
 
 def test_06a_centroid_slope(run_k2):
-    xi = run_k2.qs_finite.xi
+    xi = run_k2.system.qs_finite.xi
     slope = spectral.centroid_slope(run_k2.strength, e0_max=2.0)
     dev = abs(slope - xi) / xi
     gate("06a centroid slope", dev <= 0.03,
@@ -184,7 +185,7 @@ def test_06a_centroid_slope(run_k2):
 
 
 def test_06b_variance_flat(run_k2):
-    target = 1.0 - run_k2.qs_finite.xi_sq
+    target = 1.0 - run_k2.system.qs_finite.xi_sq
     mom = run_k2.strength.window_moments()
     sel = np.isfinite(mom["e0_mean"]) & (np.abs(mom["e0_mean"]) <= 2.0)
     dev = float(np.max(np.abs(mom["variance"][sel] - target))) / target
@@ -195,7 +196,8 @@ def test_06b_variance_flat(run_k2):
 def test_06c_skewness_windows(run_k2):
     cfg = run_k2.config
     mom = run_k2.strength.window_moments()
-    pred = spectral.window_predictions(run_k2.strength, run_k2.qs_finite, cfg.m, cfg.t, cfg.k)
+    pred = spectral.window_predictions(run_k2.strength, run_k2.system.qs_finite,
+                                       cfg.m, cfg.t, cfg.k)
     e0 = mom["e0_mean"]
     sel = np.isfinite(e0) & (np.abs(e0) >= 0.25) & (np.abs(e0) <= 1.5)
     rel = float(np.max(np.abs(mom["gamma1"][sel] - pred["gamma1"][sel]) / np.abs(pred["gamma1"][sel])))
@@ -207,7 +209,8 @@ def test_06c_skewness_windows(run_k2):
 def test_06d_excess_kurtosis_windows(run_k2):
     cfg = run_k2.config
     mom = run_k2.strength.window_moments()
-    pred = spectral.window_predictions(run_k2.strength, run_k2.qs_finite, cfg.m, cfg.t, cfg.k)
+    pred = spectral.window_predictions(run_k2.strength, run_k2.system.qs_finite,
+                                       cfg.m, cfg.t, cfg.k)
     e0 = mom["e0_mean"]
     sel = np.isfinite(e0) & (np.abs(e0) <= 2.0)
     dev = np.abs(mom["gamma2"][sel] - pred["gamma2"][sel])
@@ -247,14 +250,14 @@ def test_07_regime_endpoints():
 
 def test_08_bivariate_moment_asymmetry(run_k4):
     emp = run_k4.moments.finalize()
-    pred = bca.bivariate_moments(run_k4.qs_finite)
+    pred = bivariate_moments(run_k4.system.qs_finite)
     checks = []
     for name in ("mu11", "mu40", "mu04", "mu31", "mu13", "mu22"):
         want = getattr(pred, name)
-        have = getattr(emp, name)
-        band = 3.0 * emp.member_std[name]
+        have = emp[name]
+        band = 3.0 * emp[f"{name}_member_std"]
         checks.append((name, abs(have - want) <= band, have, want, band))
-    asym_emp = emp.mu31 - emp.mu13
+    asym_emp = emp["mu31"] - emp["mu13"]
     asym_pred = pred.mu31 - pred.mu13
     asym_ok = asym_pred > 0 and asym_emp > 0
     ok = all(c[1] for c in checks) and asym_ok
@@ -270,7 +273,7 @@ def test_08_bivariate_moment_asymmetry(run_k4):
 def test_09_overlay_distance(run_k2, run_k4, run_k6):
     worst = {}
     for label, res in (("k=2", run_k2), ("k=4", run_k4), ("k=6", run_k6)):
-        l1 = spectral.strength_l1(res.strength, res.qs_finite)
+        l1 = spectral.strength_l1(res.strength, res.system.qs_finite)
         wc = res.strength.window_centers
         sel = np.isclose(wc, -1.0) | np.isclose(wc, 0.0) | np.isclose(wc, 1.0)
         worst[label] = float(np.nanmax(l1[sel]))
@@ -288,7 +291,7 @@ def test_10a_npc_center_matches_analytic(run_k2):
     centers = chaos.bin_centers
     sel = np.abs(centers) <= 0.06  # the two bins straddling the spectrum center
     mc = chaos.npc()[sel]
-    analytic = spectral.npc_integral(centers[sel], run_k2.qs_finite, 924)
+    analytic = spectral.npc_integral(centers[sel], run_k2.system.qs_finite, 924)
     dev = float(np.max(np.abs(mc - analytic) / analytic))
     gate("10a mixing at center", dev <= 0.15,
          f"MC {np.array2string(mc, precision=2)} vs analytic "

@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trace_formulas import bivariate_moments, centered_trace_variance, trace_variance
+
 from qstrength import bca
 from qstrength.bca import (
     SystemParams,
     binom,
-    bivariate_moments,
     bold_lambda_sq,
     composition_table_rows,
     d_weight,
@@ -31,7 +32,6 @@ from qstrength.bca import (
     q_v_finite,
     resolve_system,
     strength_moment_prediction,
-    trace_variance,
     xi_infinite,
     xi_sq_finite,
 )
@@ -182,8 +182,8 @@ class TestFiniteN:
 
     def test_centered_trace_variance(self):
         # centroid-fluctuation subtraction: 2 C(N,r) [C(N-r,m-r)/d]^2
-        assert bca.centered_trace_variance(12, 6, 1) == pytest.approx(42.0, rel=1e-14)
-        assert bca.centered_trace_variance(12, 6, 2) == pytest.approx(435 - 825 / 121, rel=1e-14)
+        assert centered_trace_variance(12, 6, 1) == pytest.approx(42.0, rel=1e-14)
+        assert centered_trace_variance(12, 6, 2) == pytest.approx(435 - 825 / 121, rel=1e-14)
 
     def test_half_coupling_solution(self):
         # Lambda^0(12,6,1) = 42, Lambda^0(12,6,2) = 420 -> lam^2 = 1/10

@@ -320,6 +320,7 @@ class TestSimulate:
             # keys a command does not take, including argparse's own, are ignored
             "unknown": system + run + "colour = red\nfunc = x\ncommand = npc\n",
             "no-moments": system + run + "moments = false\n",
+            "moments-on": system + run + "moments = Yes\n",
         }
         for name, text in cases.items():
             (tmp_path / f"{name}.cfg").write_text(text)
@@ -327,6 +328,7 @@ class TestSimulate:
                                   "--out", str(tmp_path / name)])
             assert code == 0
         plain = tmp_path / "plain"
+        assert "bivariate.csv" in sim_outputs(tmp_path / "moments-on")
         for name in ("unknown", "no-moments"):
             assert sim_outputs(tmp_path / name) == sim_outputs(plain)
             for out in sim_outputs(plain):
@@ -345,6 +347,19 @@ class TestSimulate:
         assert "Traceback" not in proc.stderr
         assert "argument --N: invalid int value: 'abc'" in proc.stderr
         assert not (tmp_path / "bad").exists()
+        # moments reads 1, true, yes, 0, false or no in any case, and nothing else
+        for word, on in (("1", True), ("TRUE", True), ("yes", True),
+                         ("0", False), ("False", False), ("NO", False)):
+            (tmp_path / "switch.cfg").write_text(f"moments = {word}\n")
+            assert cli._load_config_file(tmp_path / "switch.cfg", ["moments"]) == {"moments": on}
+        (tmp_path / "maybe.cfg").write_text(system + run + "moments = maybe\n")
+        proc = cli_subprocess(["simulate", "--config", str(tmp_path / "maybe.cfg"),
+                               "--out", str(tmp_path / "maybe")])
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("bad config value moments='maybe'")
+        assert proc.stderr.count("\n") == 1
+        assert not (tmp_path / "maybe").exists()
 
     def test_check_mode_uncoupled_run_passes(self, tmp_path, capsys):
         code, out, _ = run_cli(
@@ -429,6 +444,24 @@ def test_invalid_system_exits_without_traceback(tmp_path, command, system, coupl
 
 
 SMALL_SYSTEM = ["--N", "8", "--m", "4", "--t", "1", "--k", "2", "--xi-sq", "0.5"]
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["npc", *SMALL_SYSTEM, "--grid=-inf:1:3"], "bad grid spec"),
+    (["npc", *SMALL_SYSTEM, "--windows=0,nan"], "bad window list"),
+    (["qnormal", "--q", "0.5", "--grid=-1:inf:3"], "bad grid spec"),
+    (["qnormal", "--q", "0.5", "--y", "0", "--xi", "0.5", "--grid=nan:1:3"], "bad grid spec"),
+    (["params", *SMALL_SYSTEM, "--windows=inf,nan"], "bad window list"),
+    (["params", *SMALL_SYSTEM, "--grid=-1:inf:3"], "bad grid spec"),
+], ids=["npc-grid", "npc-windows", "qnormal-grid", "qnormal-conditional-grid",
+        "params-windows", "params-grid"])
+def test_non_finite_grid_or_windows_exits_without_traceback(tmp_path, argv, reason):
+    # simulate's RunConfig rejects these too (test_bad_run_config_exits_without_traceback)
+    proc = cli_subprocess([*argv, "--out", str(tmp_path / "out")])
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(reason) and proc.stderr.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 # each case's command and its --out, relative to a directory holding the file "file"

@@ -6,12 +6,16 @@ definition of the strength matrix.  member_spectra must reproduce its
 eigenvalues and overlaps with one eigensolve of H per member.
 """
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from test_cli import subprocess_env
 from test_spectral import dense_traces
 
-from qstrength import fock, spectral
-from qstrength.ensemble import RunConfig, member_spectra, run_member
+from qstrength import ensemble, fock, spectral
+from qstrength.ensemble import RunConfig, member_spectra, run_ensemble, run_member
 
 
 def dense_oracle(cfg: RunConfig, member: int):
@@ -87,3 +91,43 @@ def test_one_many_body_eigensolve_for_one_body_mean_field(monkeypatch, system, e
     (strength, _), err = run_member(RunConfig(N=N, m=m, t=t, k=k, xi_sq_target=0.5, seed=3), 0)
     assert err is None and strength.member_count == 1
     assert calls == {"diagonalize": eigensolves, "embed": embeddings}
+
+
+# Reads numpy's bundled OpenBLAS thread count around a 2-worker run and the pool
+# initializer; exits 77 when that OpenBLAS has no getter or no setter.
+_BLAS_SCRIPT = """
+import ctypes
+from qstrength import ensemble
+with open("/proc/self/maps") as fh:
+    libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line})
+getters = [getattr(ctypes.CDLL(lib), "scipy_openblas_get_num_threads64_", None) for lib in libs]
+getter = next((g for g in getters if g is not None), None)
+if getter is None or ensemble._blas_thread_setter() is None:
+    raise SystemExit(77)
+before = getter()
+cfg = ensemble.RunConfig(N=8, m=4, t=1, k=2, xi_sq_target=0.5, members=2, workers=2)
+ensemble.run_ensemble(cfg)
+kept = getter()
+ensemble._one_blas_thread()
+print(before, kept, getter())
+"""
+
+
+def test_pool_initializer_pins_one_blas_thread():
+    proc = subprocess.run([sys.executable, "-c", _BLAS_SCRIPT], capture_output=True, text=True,
+                          env=subprocess_env() | {"OPENBLAS_NUM_THREADS": "2"})
+    if proc.returncode == 77:
+        pytest.skip("numpy's OpenBLAS has no scipy_openblas thread getter or setter")
+    assert proc.returncode == 0, proc.stderr
+    before, kept, after = map(int, proc.stdout.split())
+    # the pool's workers are pinned, the calling process keeps its threads
+    assert (kept, after) == (before, 1)
+    assert proc.stderr == ""
+
+
+def test_pool_without_a_blas_setter_says_so(monkeypatch, capsys):
+    monkeypatch.setattr(ensemble, "_blas_thread_setter", lambda: None)
+    cfg = RunConfig(N=8, m=4, t=1, k=2, xi_sq_target=0.5, members=2, workers=2)
+    assert not run_ensemble(cfg).failures
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "no OpenBLAS thread setter" in err

@@ -74,8 +74,8 @@ def test_support_endpoints():
     assert (s0.lo, s0.hi) == (-2.0, 2.0)
     s = support(0.75)
     assert s.hi == pytest.approx(4.0)
-    assert not s.is_infinite
-    assert support(1.0).is_infinite
+    assert not math.isinf(s.hi)
+    assert math.isinf(support(1.0).hi)
     assert s.contains(3.999) and not s.contains(4.0)
 
 

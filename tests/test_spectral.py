@@ -417,7 +417,7 @@ class TestBivariateAccumulator:
         t = acc.trace_sums
         np.testing.assert_allclose(t[[1, 2, 4, 5, 6, 8, 9, 10, 11]], t[[0, 0, 3, 3, 3, 7, 7, 7, 7]],
                                    rtol=1e-13, atol=1e-15 * np.max(np.abs(t)))
-        assert acc.finalize().mu11 == pytest.approx(1.0, rel=1e-12)
+        assert acc.finalize()["mu11"] == pytest.approx(1.0, rel=1e-12)
 
     def test_uncoupled_members_have_no_correlation_spread(self):
         # per-member mu11 is 1 up to an ulp; the one-pass variance of such
@@ -431,9 +431,9 @@ class TestBivariateAccumulator:
             w[order, np.arange(d)] = 1.0
             acc.add_member(e0, e0[order], w)
         emp = acc.finalize()
-        assert emp.member_mean["mu11"] == pytest.approx(1.0, rel=1e-15)
-        assert emp.member_std["mu11"] == 0.0
-        assert emp.member_std["mu40"] > 0.1
+        assert emp["mu11_member_mean"] == pytest.approx(1.0, rel=1e-15)
+        assert emp["mu11_member_std"] == 0.0
+        assert emp["mu40_member_std"] > 0.1
 
     def test_repeated_h0_eigenvalues(self):
         rng = np.random.default_rng(6)
@@ -460,9 +460,9 @@ class TestBivariateAccumulator:
             h = random_symmetric(rng, 30)
             acc.add_member(*strength_frame(h, h))
         emp = acc.finalize()
-        assert emp.mu11 == pytest.approx(1.0, rel=1e-12)
-        assert emp.mu40 == pytest.approx(emp.mu04, rel=1e-12)
-        assert emp.mu31 == pytest.approx(emp.mu40, rel=1e-12)
+        assert emp["mu11"] == pytest.approx(1.0, rel=1e-12)
+        assert emp["mu40"] == pytest.approx(emp["mu04"], rel=1e-12)
+        assert emp["mu31"] == pytest.approx(emp["mu40"], rel=1e-12)
 
     def test_merge_equals_sequential(self):
         rng = np.random.default_rng(8)
@@ -478,7 +478,7 @@ class TestBivariateAccumulator:
         merged = a.merge(b)
         np.testing.assert_allclose(merged.trace_sums, full.trace_sums, rtol=1e-12)
         f1, f2 = merged.finalize(), full.finalize()
-        assert f1.mu22 == pytest.approx(f2.mu22, rel=1e-12)
+        assert f1["mu22"] == pytest.approx(f2["mu22"], rel=1e-12)
 
     def test_finalize_empty_rejected(self):
         with pytest.raises(ValueError, match="no members"):
@@ -490,5 +490,7 @@ class TestBivariateAccumulator:
         for _ in range(5):
             acc.add_member(*strength_frame(random_symmetric(rng, 25), random_symmetric(rng, 25)))
         emp = acc.finalize()
-        assert set(emp.member_std) == {"mu11", "mu40", "mu04", "mu31", "mu13", "mu22"}
-        assert all(v > 0 for v in emp.member_std.values())
+        names = ("mu11", "mu40", "mu04", "mu31", "mu13", "mu22")
+        assert list(emp) == ["member_count", "sigma_h0", "sigma_h", *(
+            f"{name}{suffix}" for name in names for suffix in ("", "_member_mean", "_member_std"))]
+        assert all(emp[f"{name}_member_std"] > 0 for name in names)
