@@ -93,10 +93,12 @@ def test_one_many_body_eigensolve_for_one_body_mean_field(monkeypatch, system, e
     assert calls == {"diagonalize": eigensolves, "embed": embeddings}
 
 
-# Reads numpy's bundled OpenBLAS thread count around a 2-worker run and the pool
-# initializer; exits 77 when that OpenBLAS has no getter or no setter.
+# Runs a 2-worker ensemble whose members report their process's BLAS thread
+# count (numpy's bundled OpenBLAS) as their message; prints the caller's count
+# before and after, then the workers' counts.  Exits 77 when that OpenBLAS has
+# no thread getter or no setter.
 _BLAS_SCRIPT = """
-import ctypes
+import ctypes, multiprocessing
 from qstrength import ensemble
 with open("/proc/self/maps") as fh:
     libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line})
@@ -104,25 +106,28 @@ getters = [getattr(ctypes.CDLL(lib), "scipy_openblas_get_num_threads64_", None) 
 getter = next((g for g in getters if g is not None), None)
 if getter is None or ensemble._blas_thread_setter() is None:
     raise SystemExit(77)
+run_member = ensemble.run_member
+def probe(cfg, member):
+    return run_member(cfg, member)[0], str(getter())
+ensemble.run_member = probe
+multiprocessing.set_start_method("fork")  # the workers inherit probe
 before = getter()
-cfg = ensemble.RunConfig(N=8, m=4, t=1, k=2, xi_sq_target=0.5, members=2, workers=2)
-ensemble.run_ensemble(cfg)
-kept = getter()
-ensemble._one_blas_thread()
-print(before, kept, getter())
+cfg = ensemble.RunConfig(N=8, m=4, t=1, k=2, xi_sq_target=0.5, members=4, workers=2)
+workers = [message for _, message in ensemble.run_ensemble(cfg).failures]
+print(before, getter(), *workers)
 """
 
 
-def test_pool_initializer_pins_one_blas_thread():
+def test_pool_workers_run_one_blas_thread():
     proc = subprocess.run([sys.executable, "-c", _BLAS_SCRIPT], capture_output=True, text=True,
                           env=subprocess_env() | {"OPENBLAS_NUM_THREADS": "2"})
     if proc.returncode == 77:
         pytest.skip("numpy's OpenBLAS has no scipy_openblas thread getter or setter")
     assert proc.returncode == 0, proc.stderr
-    before, kept, after = map(int, proc.stdout.split())
-    # the pool's workers are pinned, the calling process keeps its threads
-    assert (kept, after) == (before, 1)
-    assert proc.stderr == ""
+    before, after, *workers = map(int, proc.stdout.split())
+    assert workers == [1, 1, 1, 1]
+    assert after == before  # the calling process keeps its threads
+    assert "no OpenBLAS thread setter" not in proc.stderr
 
 
 def test_pool_without_a_blas_setter_says_so(monkeypatch, capsys):
