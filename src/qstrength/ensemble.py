@@ -30,9 +30,7 @@ which makes the final numbers byte-identical for any worker count.
 
 from __future__ import annotations
 
-import ctypes
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -126,6 +124,14 @@ def member_spectra(cfg: RunConfig, member: int) -> MemberSpectra:
     Raises LinAlgError, DiagonalizationError or ValueError when an
     eigensolve or the doubly stochastic check fails.
     """
+    e0, h = _member_hamiltonian(cfg, member)  # its GOE draws and rotations are freed
+    e, u = spectral.diagonalize(h)
+    del h  # before overlaps allocates W
+    return MemberSpectra(e0, e, spectral.overlaps(u))
+
+
+def _member_hamiltonian(cfg: RunConfig, member: int) -> tuple[np.ndarray, np.ndarray]:
+    """(E0, H): the H0 eigenvalues and H = diag(E0) + lam V' in the H0 eigenbasis."""
     basis_m = fock.build_basis(cfg.N, cfg.m)
     basis_t = fock.build_basis(cfg.N, cfg.t)
     basis_k = fock.build_basis(cfg.N, cfg.k)
@@ -135,14 +141,15 @@ def member_spectra(cfg: RunConfig, member: int) -> MemberSpectra:
         eps, orb = np.linalg.eigh(g0)
         e0 = basis_m.occupations @ eps
         c = fock.compound_matrix(orb, cfg.k)
-        h = fock.embed_k_body(c.T @ g1 @ c, basis_m, basis_k)
+        g1 = c.T @ g1 @ c  # v'; the embedding then holds one C(N, k)^2 array, not three
+        del c
+        h = fock.embed_k_body(g1, basis_m, basis_k)
     else:
         e0, u0 = spectral.diagonalize(fock.embed_k_body(g0, basis_m, basis_t))
         h = u0.T @ fock.embed_k_body(g1, basis_m, basis_k) @ u0
     h *= cfg.system().lam
     h.flat[:: basis_m.dim + 1] += e0
-    e, u = spectral.diagonalize(h)
-    return MemberSpectra(e0, e, spectral.overlaps(u))
+    return e0, h
 
 
 def run_member(cfg: RunConfig, member: int):
@@ -174,15 +181,7 @@ def _task(args):
 
 def _blas_thread_setter():
     """The thread-count setter of the OpenBLAS numpy bundles, or None if none is loaded."""
-    try:
-        with open("/proc/self/maps") as fh:  # the mapped files, on Linux
-            libs = {path for path in (line.split()[-1] for line in fh)
-                    if path.startswith("/") and "openblas" in path.lower()}
-    except OSError:
-        return None
-    setters = (getattr(ctypes.CDLL(lib), "scipy_openblas_set_num_threads64_", None)
-               for lib in sorted(libs))
-    return next((setter for setter in setters if setter is not None), None)
+    return spectral.openblas_symbol("scipy_openblas_set_num_threads64_")
 
 
 def _one_blas_thread() -> None:
@@ -206,6 +205,7 @@ def run_ensemble(cfg: RunConfig) -> EnsembleResult:
     if cfg.workers == 1:
         outcomes = list(map(_task, tasks))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # one worker never maps it
         chunk = max(1, cfg.members // (4 * cfg.workers))
         if _blas_thread_setter() is None:
             print("no OpenBLAS thread setter found: workers keep the default BLAS threads",

@@ -269,8 +269,10 @@ def compound_matrix(o: np.ndarray, r: int) -> np.ndarray:
         lead = o[plan.orbs[:, 0]]
         sub = c[plan.minors[:, 0]]
         nxt = lead[:, plan.orbs[:, 0]] * sub[:, plan.minors[:, 0]]
+        term = np.empty_like(nxt)  # reused, so a step holds three D x D arrays
         for p in range(1, s):
-            term = lead[:, plan.orbs[:, p]] * sub[:, plan.minors[:, p]]
+            np.take(lead, plan.orbs[:, p], axis=1, out=term, mode="clip")  # unbuffered
+            term *= sub[:, plan.minors[:, p]]
             if p % 2:
                 nxt -= term
             else:

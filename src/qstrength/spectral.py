@@ -22,6 +22,8 @@ the H0 eigenbasis tr(H0^P H^Q) = sum_kappa E0_kappa^P (W E^Q)_kappa.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -50,26 +52,77 @@ class DiagonalizationError(RuntimeError):
     """Eigen-decomposition failed its reconstruction or orthonormality check."""
 
 
+@functools.cache
+def openblas_symbol(name: str):
+    """A function exported by the OpenBLAS numpy bundles, or None if none is loaded."""
+    try:
+        with open("/proc/self/maps") as fh:  # the mapped files, on Linux
+            libs = {path for path in (line.split()[-1] for line in fh)
+                    if path.startswith("/") and "openblas" in path.lower()}
+    except OSError:
+        return None
+    found = (getattr(ctypes.CDLL(lib), name, None) for lib in sorted(libs))
+    return next((fn for fn in found if fn is not None), None)
+
+
+def _dsyevd(dsyevd, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """numpy's eigh LAPACK call made in place: (w, u, work), bit for bit eigh's w and u.
+
+    u comes back in C order, as eigh's, through the freed workspace, which is
+    returned at least 2 d^2 long.
+    """
+    d = len(mat)
+    a, w = np.array(mat.T, order="C"), np.empty(d)  # the Fortran view of a is mat
+
+    def call(work, lwork, iwork, liwork):
+        info = ctypes.c_int64()
+        n, lda, lwork, liwork = (ctypes.byref(ctypes.c_int64(v))
+                                 for v in (d, max(d, 1), lwork, liwork))
+        dsyevd(b"V", b"L", n, a.ctypes, lda, w.ctypes, work.ctypes, lwork, iwork.ctypes, liwork,
+               ctypes.byref(info), ctypes.c_size_t(1), ctypes.c_size_t(1))
+        if info.value != 0:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
+    call(work, -1, iwork, -1)  # workspace query
+    lwork, liwork = int(work[0]), int(iwork[0])
+    work, iwork = np.empty(max(lwork, 2 * d * d)), np.empty(liwork, dtype=np.int64)
+    call(work, lwork, iwork, liwork)
+    a_t = work[: d * d].reshape(d, d)
+    np.copyto(a_t, a.T)  # the eigenvectors are the columns of a's Fortran view
+    np.copyto(a, a_t)
+    return w, a, work
+
+
 def diagonalize(
     mat: np.ndarray, residual_tol: float = 1e-9, orthonormal_tol: float = 1e-10
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and orthonormal eigenvectors of a symmetric matrix.
 
-    The reconstruction residual ||A u - u w|| and the Gram deviation of the
-    eigenvector matrix are verified; failures raise DiagonalizationError (a
-    LinAlgError from a non-converging solver propagates to the caller).
+    LAPACK dsyevd runs in place through numpy's OpenBLAS (np.linalg.eigh where
+    that lacks it), so mat, u and the 2 d^2 workspace that the guards reuse are
+    the only d x d arrays.  The reconstruction residual ||A u - u w|| and the
+    Gram deviation of u are verified, NaN failing both; failures raise
+    DiagonalizationError (a LinAlgError from a non-converging solver propagates).
     """
-    w, u = np.linalg.eigh(mat)
+    mat = np.asarray(mat, dtype=float)
+    d = len(mat)
+    dsyevd = openblas_symbol("scipy_dsyevd_64_") if mat.shape == (d, d) else None
+    if dsyevd is None:
+        (w, u), work = np.linalg.eigh(mat), np.empty(2 * d * d)
+    else:
+        w, u, work = _dsyevd(dsyevd, mat)
+    r, gram = work[: 2 * d * d].reshape(2, d, d)
     scale = float(np.linalg.norm(mat))
-    r = mat @ u
-    r -= u * w
+    np.matmul(mat, u, out=r)
+    r -= np.multiply(u, w, out=gram)
     resid = float(np.linalg.norm(r))
-    if resid > residual_tol * max(scale, 1e-300):
+    if not resid <= residual_tol * max(scale, 1e-300):
         raise DiagonalizationError(f"reconstruction residual {resid:.3e} vs scale {scale:.3e}")
-    gram = u.T @ u
-    gram.flat[:: len(w) + 1] -= 1.0
-    gram_dev = float(np.max(np.abs(gram)))
-    if gram_dev > orthonormal_tol:
+    np.matmul(u.T, u, out=gram)
+    gram.flat[:: d + 1] -= 1.0
+    gram_dev = float(np.max(np.abs(gram, out=r)))
+    if not gram_dev <= orthonormal_tol:
         raise DiagonalizationError(f"eigenvectors not orthonormal: deviation {gram_dev:.3e}")
     return w, u
 
@@ -89,7 +142,7 @@ def overlaps(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         float(np.max(np.abs(wsq.sum(axis=0) - 1.0))),
         float(np.max(np.abs(wsq.sum(axis=1) - 1.0))),
     )
-    if dev > tol:
+    if not dev <= tol:
         raise ValueError(f"overlap matrix not doubly stochastic: deviation {dev:.3e}")
     return wsq
 

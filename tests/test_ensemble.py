@@ -8,6 +8,7 @@ eigenvalues and overlaps with one eigensolve of H per member.
 
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,3 +137,24 @@ def test_pool_without_a_blas_setter_says_so(monkeypatch, capsys):
     assert not run_ensemble(cfg).failures
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "no OpenBLAS thread setter" in err
+
+
+@pytest.mark.skipif(spectral.openblas_symbol("scipy_dsyevd_64_") is None,
+                    reason="numpy's OpenBLAS has no scipy_dsyevd_64_")
+@pytest.mark.parametrize("k", [2, 4])
+def test_member_working_set_is_four_dense_matrices(k):
+    # H, the eigenvector buffer and LAPACK's 2 d^2 workspace, which the guards
+    # reuse; tracemalloc sees every numpy allocation, the workspace included.
+    # The O(d) slack covers the eigenvalues, LAPACK's integer workspace and a
+    # ufunc buffer of 8192 doubles.
+    cfg = RunConfig(N=10, m=5, t=1, k=k, xi_sq_target=0.5, members=2, with_moments=True)
+    d = fock.build_basis(cfg.N, cfg.m).dim
+    run_member(cfg, 0)  # builds the cached plans outside the trace
+    tracemalloc.start()
+    try:
+        _, err = run_member(cfg, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err is None
+    assert peak <= 8 * (4 * d * d + 64 * d), f"{peak / (8 * d * d):.2f} d^2 doubles"

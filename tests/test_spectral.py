@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qstrength import bca, fock
+from qstrength import bca, ensemble, fock, spectral
 from qstrength.qnormal import QuadratureError, f_cqn, f_qn, support
 from qstrength.spectral import (
     BivariateMomentAccumulator,
@@ -56,6 +56,58 @@ class TestDiagonalize:
             diagonalize(a + a.T, orthonormal_tol=1e-300)
 
 
+    @pytest.mark.parametrize("lapack", [True, False], ids=["dsyevd", "eigh"])
+    def test_non_finite_matrix_trips_a_guard(self, monkeypatch, lapack):
+        if not lapack:
+            monkeypatch.setattr(spectral, "openblas_symbol", lambda name: None)
+        with np.errstate(invalid="ignore"), pytest.raises(DiagonalizationError):
+            diagonalize(np.array([[1.0, np.inf], [np.inf, 1.0]]))
+
+
+# The in-place LAPACK solve must give numpy's eigh bit for bit: member H of a
+# t = 1 and a t = 2 system (the rotated t = 2 H is not exactly symmetric), the
+# diagonal H at lam = 0, and d = 1 and 2.
+_EIGH_CASES = {
+    "member-12-6-1-2": lambda: ensemble._member_hamiltonian(
+        ensemble.RunConfig(N=12, m=6, t=1, k=2, xi_sq_target=0.5), 0)[1],
+    "rotated-8-4-2-3": lambda: ensemble._member_hamiltonian(
+        ensemble.RunConfig(N=8, m=4, t=2, k=3, xi_sq_target=0.5), 0)[1],
+    "lambda-0": lambda: ensemble._member_hamiltonian(
+        ensemble.RunConfig(N=8, m=4, t=1, k=2, lam=0.0), 0)[1],
+    "d-1": lambda: np.array([[0.75]]),
+    "d-2": lambda: np.array([[0.5, -1.25], [-1.25, 2.0]]),
+}
+_DSYEVD = spectral.openblas_symbol("scipy_dsyevd_64_")
+needs_dsyevd = pytest.mark.skipif(_DSYEVD is None,
+                                  reason="numpy's OpenBLAS has no scipy_dsyevd_64_")
+
+
+@needs_dsyevd
+@pytest.mark.parametrize("case", _EIGH_CASES)
+def test_lapack_solve_is_numpy_eigh_bit_for_bit(case):
+    mat = _EIGH_CASES[case]()
+    w, u = diagonalize(mat)
+    w_ref, u_ref = np.linalg.eigh(mat)
+    assert np.array_equal(w, w_ref) and np.array_equal(u, u_ref)
+    assert u.flags.c_contiguous  # the layout downstream sums see, as eigh's
+
+
+@needs_dsyevd
+@pytest.mark.parametrize("case", ["member-12-6-1-2", "rotated-8-4-2-3", "d-1"])
+def test_eigh_fallback_matches_the_lapack_solve(monkeypatch, case):
+    mat = _EIGH_CASES[case]()
+    w, u = diagonalize(mat)
+    monkeypatch.setattr(spectral, "openblas_symbol", lambda name: None)
+    w_ref, u_ref = diagonalize(mat)
+    assert np.array_equal(w, w_ref) and np.array_equal(u, u_ref)
+
+
+def test_dsyevd_resolves_wherever_the_thread_setter_does():
+    if ensemble._blas_thread_setter() is None:
+        pytest.skip("numpy's OpenBLAS has no scipy_openblas thread setter")
+    assert _DSYEVD is not None  # else diagonalize would fall back to eigh's larger footprint
+
+
 class TestOverlaps:
     def test_identical_bases_give_identity(self):
         rng = np.random.default_rng(9)
@@ -77,6 +129,10 @@ class TestOverlaps:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="square"):
             overlaps(np.eye(4)[:, :3])
+
+    def test_nan_matrix_rejected(self):
+        with pytest.raises(ValueError, match="doubly stochastic"):
+            overlaps(np.full((2, 2), np.nan))
 
     def test_non_orthonormal_input_rejected(self):
         u_bad = np.array([[1.0, 0.5], [0.0, 1.0]])
