@@ -44,8 +44,6 @@ __all__ = [
     "xi_sq_finite",
     "lam_for_xi_sq",
     "resolve_system",
-    "q_h_finite",
-    "q_v_finite",
     "q_hv_finite",
     "q_params_finite",
     "strength_moment_prediction",
@@ -210,14 +208,6 @@ def d_weight(n_orb: int, nu: int) -> int:
     return binom(n_orb, nu) ** 2 - binom(n_orb, nu - 1) ** 2
 
 
-def q_h_finite(N: int, m: int, t: int) -> float:
-    return q_hv_finite(N, m, t, t)
-
-
-def q_v_finite(N: int, m: int, k: int) -> float:
-    return q_hv_finite(N, m, k, k)
-
-
 def q_hv_finite(N: int, m: int, t: int, k: int) -> float:
     """Finite-N cross parameter of the rank-t and rank-k spectra; t = k gives one rank's q."""
     num = sum(
@@ -262,8 +252,8 @@ def resolve_system(N: int, m: int, t: int, k: int, lam=None, xi_sq=None) -> Syst
 
 def q_params_finite(N: int, m: int, t: int, k: int, xi_sq: float) -> QParameterSet:
     """Finite-N shape parameters with the same q_H composition as the dilute limit."""
-    q_h = q_h_finite(N, m, t)
-    q_v = q_v_finite(N, m, k)
+    q_h = q_hv_finite(N, m, t, t)
+    q_v = q_hv_finite(N, m, k, k)
     q_hv = q_hv_finite(N, m, t, k)
     return QParameterSet(q_h, q_v, q_hv, _compose_q_big(q_h, q_v, q_hv, xi_sq), xi_sq)
 

@@ -22,10 +22,10 @@ Each member yields one tuple of partial sums: a StrengthReport (overlap rows
 selected by windows on the standardized H0 spectrum), ChaosMeasures (NPC and
 information entropy binned on the standardized H spectrum), and with
 with_moments a BivariateMomentAccumulator of centered trace moments through
-fourth order, which needs only E0, E and W, so H is dropped after its
-eigensolve.  The parent merges the tuples position by position in member
-order, by the spectral module's sums contract (a failed member adds zeros),
-which makes the final numbers byte-identical for any worker count.
+fourth order, which needs only E0, E and W, so H is not kept: its
+eigenvectors overwrite it.  The parent merges the tuples position by position
+in member order, by the spectral module's sums contract (a failed member adds
+zeros), which makes the final numbers byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -125,8 +125,7 @@ def member_spectra(cfg: RunConfig, member: int) -> MemberSpectra:
     eigensolve or the doubly stochastic check fails.
     """
     e0, h = _member_hamiltonian(cfg, member)  # its GOE draws and rotations are freed
-    e, u = spectral.diagonalize(h)
-    del h  # before overlaps allocates W
+    e, u = spectral.diagonalize(h)  # u overwrites h
     return MemberSpectra(e0, e, spectral.overlaps(u))
 
 

@@ -123,7 +123,7 @@ class _EmbeddingPlan:
 
 
 _CHUNK = 1 << 14  # plan terms handled per step, when building and when embedding
-_MIRROR_ROWS = 64  # row block of the in-place mirror
+_MIRROR_ROWS = 32  # row block of the in-place mirror
 
 
 def _spectator_blocks(spect, combos, basis_m, basis_r):
@@ -184,18 +184,18 @@ def embedding_plan(n_orb: int, m: int, r: int) -> _EmbeddingPlan:
     return _EmbeddingPlan(flat, src, d)
 
 
-def _mirror_upper(out: np.ndarray) -> None:
-    """Copy the upper triangle of a square matrix into its lower one, in place.
+def mirror_upper(a: np.ndarray) -> None:
+    """Copy the strict upper triangle of a square matrix into its lower one, in place.
 
-    The lower triangle must hold +0.0, so this is upper + upper^T off the
-    diagonal bit for bit (x + 0.0 == x for every sum the plan accumulates).
+    The scratch is one block of _MIRROR_ROWS rows; mirror_upper(a.T) copies the
+    lower triangle into the upper one.
     """
-    d = len(out)
-    for lo in range(0, d, _MIRROR_ROWS):
-        hi = min(lo + _MIRROR_ROWS, d)
-        out[lo:hi, :lo] = out[:lo, lo:hi].T
-        block = out[lo:hi, lo:hi]
-        block += np.triu(block, 1).T
+    for lo in range(0, len(a), _MIRROR_ROWS):
+        hi = lo + _MIRROR_ROWS
+        block = a[lo:hi, lo:hi]
+        lower = np.tril_indices(len(block), -1)
+        block[lower] = block.T[lower]
+        a[hi:, lo:hi] = a[lo:hi, hi:].T
 
 
 def embed_k_body(coeffs: np.ndarray, basis_m: FockBasis, basis_r: FockBasis) -> np.ndarray:
@@ -223,7 +223,7 @@ def embed_k_body(coeffs: np.ndarray, basis_m: FockBasis, basis_r: FockBasis) -> 
     for lo in range(0, len(plan.src), _CHUNK):
         hi = lo + _CHUNK
         np.add.at(upper, plan.flat[lo:hi], signed.take(plan.src[lo:hi]))
-    _mirror_upper(out)
+    mirror_upper(out)
     return out
 
 

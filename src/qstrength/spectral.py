@@ -3,7 +3,10 @@
 Each ensemble member is diagonalized once, in the eigenbasis of the mean-field
 operator H0: the unperturbed states |kappa> are unit vectors there, so the
 eigenvector matrix u of H itself gives the squared overlaps W = u * u, a
-doubly stochastic array.  Rows of W, selected by windows on the standardized
+doubly stochastic array.  The solve runs LAPACK's dsyevd steps in the
+member's own matrix, rebuilds the matrix for its residual guard from the
+triangle those steps leave intact, and returns u in the matrix's memory, so it
+holds three d x d arrays.  Rows of W, selected by windows on the standardized
 H0 spectrum and binned over the standardized H spectrum, give the strength
 functions F_kappa(E).  Every accumulator keeps one contract: its grid fields
 (windows, edges) are fixed, every other field is a raw sum over members
@@ -30,6 +33,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .bca import QParameterSet, strength_moment_prediction
+from .fock import mirror_upper
 from .qnormal import QuadratureError, f_cqn, f_qn, h_factor, support
 
 __all__ = [
@@ -65,33 +69,61 @@ def openblas_symbol(name: str):
     return next((fn for fn in found if fn is not None), None)
 
 
-def _dsyevd(dsyevd, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """numpy's eigh LAPACK call made in place: (w, u, work), bit for bit eigh's w and u.
+# The LAPACK routines dsyevd('V', 'L') runs, its workspace query first.
+_DSYEVD_STEPS = ("dsyevd", "dlansy", "dlascl", "dsytrd", "dstedc", "dormtr")
+# dsyevd scales a matrix whose largest entry lies outside [_RMIN, _RMAX]; its
+# DLAMCH('S') and DLAMCH('P') are numpy's tiny and eps.
+_SMLNUM = float(np.finfo(float).tiny / np.finfo(float).eps)
+_RMIN, _RMAX = math.sqrt(_SMLNUM), math.sqrt(1.0 / _SMLNUM)
 
-    u comes back in C order, as eigh's, through the freed workspace, which is
-    returned at least 2 d^2 long.
+
+def _fortran(fn, *args):
+    """Call an ILP64 Fortran routine of numpy's OpenBLAS and return its result.
+
+    bytes are character arguments, floats doubles, arrays their data and every
+    other value a 64-bit integer, all by reference; the hidden lengths of the
+    character arguments follow.
+    """
+    refs = [a if isinstance(a, bytes) else a.ctypes if isinstance(a, np.ndarray)
+            else ctypes.byref(ctypes.c_double(a) if isinstance(a, float) else ctypes.c_int64(a))
+            for a in args]
+    return fn(*refs, *[ctypes.c_size_t(1)] * sum(isinstance(a, bytes) for a in args))
+
+
+def _dsyevd_in_place(mat, dsyevd, dlansy, dlascl, dsytrd, dstedc, dormtr):
+    """(w, ut, scratch): dsyevd('V', 'L') run step by step in an exactly symmetric mat.
+
+    Read in Fortran order, mat's memory is mat.  The steps, 1/sigma and the
+    splits of the queried workspace are dsyevd's own, so w and the rows of ut,
+    the eigenvectors, are np.linalg.eigh's bit for bit.  dlascl and dsytrd
+    write only the Fortran lower (C upper) triangle, so mat is rebuilt from its
+    strict lower triangle and the saved diagonal.  ut and the free d x d scratch
+    lie in the workspace.
     """
     d = len(mat)
-    a, w = np.array(mat.T, order="C"), np.empty(d)  # the Fortran view of a is mat
-
-    def call(work, lwork, iwork, liwork):
-        info = ctypes.c_int64()
-        n, lda, lwork, liwork = (ctypes.byref(ctypes.c_int64(v))
-                                 for v in (d, max(d, 1), lwork, liwork))
-        dsyevd(b"V", b"L", n, a.ctypes, lda, w.ctypes, work.ctypes, lwork, iwork.ctypes, liwork,
-               ctypes.byref(info), ctypes.c_size_t(1), ctypes.c_size_t(1))
-        if info.value != 0:
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
+    w, info = np.empty(d), np.zeros(1, dtype=np.int64)
     work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
-    call(work, -1, iwork, -1)  # workspace query
-    lwork, liwork = int(work[0]), int(iwork[0])
-    work, iwork = np.empty(max(lwork, 2 * d * d)), np.empty(liwork, dtype=np.int64)
-    call(work, lwork, iwork, liwork)
-    a_t = work[: d * d].reshape(d, d)
-    np.copyto(a_t, a.T)  # the eigenvectors are the columns of a's Fortran view
-    np.copyto(a, a_t)
-    return w, a, work
+    _fortran(dsyevd, b"V", b"L", d, mat, d, w, work, -1, iwork, -1, info)
+    work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=np.int64)
+    diag = mat.diagonal().copy()
+    dlansy.restype = ctypes.c_double
+    anrm = np.float64(_fortran(dlansy, b"M", b"L", d, mat, d, work))
+    sigma = _RMIN / anrm if 0.0 < anrm < _RMIN else _RMAX / anrm if anrm > _RMAX else None
+    if sigma is not None:
+        _fortran(dlascl, b"L", 0, 0, 1.0, sigma, d, d, mat, d, info)
+    # dsyevd's INDE, INDTAU, INDWRK (the eigenvectors' d^2) and INDWK2 splits
+    e, tau, z, rest = work[:d], work[d:2 * d], work[2 * d:], work[2 * d + d * d:]
+    _fortran(dsytrd, b"L", d, mat, d, w, e, tau, z, len(z), info)
+    _fortran(dstedc, b"I", d, w, e, z, d, rest, len(rest), iwork, len(iwork), info)
+    if info[0] != 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    _fortran(dormtr, b"L", b"L", b"N", d, d, mat, d, tau, z, d, rest, len(rest), info)
+    if sigma is not None:
+        with np.errstate(divide="ignore"):  # sigma is 0 for an infinite entry, as in LAPACK
+            w *= 1.0 / sigma
+    mirror_upper(mat.T)
+    np.fill_diagonal(mat, diag)
+    return w, z[: d * d].reshape(d, d), rest[: d * d].reshape(d, d)
 
 
 def diagonalize(
@@ -99,29 +131,42 @@ def diagonalize(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and orthonormal eigenvectors of a symmetric matrix.
 
-    LAPACK dsyevd runs in place through numpy's OpenBLAS (np.linalg.eigh where
-    that lacks it), so mat, u and the 2 d^2 workspace that the guards reuse are
-    the only d x d arrays.  The reconstruction residual ||A u - u w|| and the
-    Gram deviation of u are verified, NaN failing both; failures raise
-    DiagonalizationError (a LinAlgError from a non-converging solver propagates).
+    Overwrites mat, whose lower triangle (the one LAPACK reads) is the matrix:
+    the eigenvectors u come back in C order in its memory.  A C-contiguous
+    writable float array is used as is, anything else is copied first.  The
+    solve runs LAPACK dsyevd's own steps in mat through numpy's OpenBLAS, so
+    (w, u) are np.linalg.eigh's bit for bit; the steps leave mat's strict lower
+    triangle intact, and the matrix is rebuilt from it for the residual guard.
+    mat and the 2 d^2 workspace, which the guards reuse, are the only d x d
+    arrays.  np.linalg.eigh solves where numpy's OpenBLAS lacks a step, and for
+    d = 1, where dsyevd returns before its steps.  The reconstruction residual
+    ||A u - u w|| and the Gram deviation of u are verified, NaN failing both;
+    failures raise DiagonalizationError (a LinAlgError from a non-converging
+    solver propagates).
     """
-    mat = np.asarray(mat, dtype=float)
+    mat = np.require(mat, dtype=float, requirements="CW")
     d = len(mat)
-    dsyevd = openblas_symbol("scipy_dsyevd_64_") if mat.shape == (d, d) else None
-    if dsyevd is None:
-        (w, u), work = np.linalg.eigh(mat), np.empty(2 * d * d)
+    if mat.shape != (d, d):
+        raise np.linalg.LinAlgError(f"matrix must be square, got shape {mat.shape}")
+    mirror_upper(mat.T)  # the lower triangle into the upper one
+    steps = [openblas_symbol(f"scipy_{name}_64_") for name in _DSYEVD_STEPS]
+    if d > 1 and None not in steps:
+        w, ut, r = _dsyevd_in_place(mat, *steps)
     else:
-        w, u, work = _dsyevd(dsyevd, mat)
-    r, gram = work[: 2 * d * d].reshape(2, d, d)
+        w, u = np.linalg.eigh(mat)
+        ut, r = u.T, np.empty((d, d))
     scale = float(np.linalg.norm(mat))
-    np.matmul(mat, u, out=r)
-    r -= np.multiply(u, w, out=gram)
+    np.matmul(ut, mat, out=r)  # (A u)^T, A being symmetric
+    for row, w_j, u_j in zip(r, w, ut):  # row by row, so the scratch is one row
+        row -= w_j * u_j
     resid = float(np.linalg.norm(r))
     if not resid <= residual_tol * max(scale, 1e-300):
         raise DiagonalizationError(f"reconstruction residual {resid:.3e} vs scale {scale:.3e}")
-    np.matmul(u.T, u, out=gram)
+    u = mat
+    np.copyto(u, ut.T)
+    gram = np.matmul(u.T, u, out=r)
     gram.flat[:: d + 1] -= 1.0
-    gram_dev = float(np.max(np.abs(gram, out=r)))
+    gram_dev = float(np.max(np.abs(gram, out=gram)))
     if not gram_dev <= orthonormal_tol:
         raise DiagonalizationError(f"eigenvectors not orthonormal: deviation {gram_dev:.3e}")
     return w, u

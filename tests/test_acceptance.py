@@ -1,8 +1,9 @@
 """End-to-end acceptance gates for the package, one test per numbered gate.
 
 The first five gates are exact/analytic and run in seconds; gates 6-10 share
-three Monte-Carlo ensembles at the reference system (N=12, m=6, t=1) that take
-a few minutes combined on one core.  Every test prints a single summary line
+three Monte-Carlo ensembles at the reference system (N=12, m=6, t=1), each
+run on two worker processes (one BLAS thread each); they take a few minutes
+combined.  Every test prints a single summary line
 (visible with -v via the test outcome, and in captured output on failure).
 """
 
@@ -32,7 +33,8 @@ def gate(label: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def run_k2():
-    cfg = RunConfig(N=12, m=6, t=1, k=2, xi_sq_target=0.5, members=500, seed=20260822)
+    cfg = RunConfig(N=12, m=6, t=1, k=2, xi_sq_target=0.5, members=500, seed=20260822,
+                    workers=2)
     return run_ensemble(cfg)
 
 
@@ -40,14 +42,15 @@ def run_k2():
 def run_k4():
     cfg = RunConfig(
         N=12, m=6, t=1, k=4, xi_sq_target=0.5, members=200, seed=20260823,
-        with_moments=True,
+        with_moments=True, workers=2,
     )
     return run_ensemble(cfg)
 
 
 @pytest.fixture(scope="module")
 def run_k6():
-    cfg = RunConfig(N=12, m=6, t=1, k=6, xi_sq_target=0.5, members=200, seed=20260824)
+    cfg = RunConfig(N=12, m=6, t=1, k=6, xi_sq_target=0.5, members=200, seed=20260824,
+                    workers=2)
     return run_ensemble(cfg)
 
 
@@ -236,7 +239,7 @@ def test_06d_excess_kurtosis_windows(run_k2):
 def test_07_regime_endpoints():
     mu40_semi = _interaction_density_mu40(6, 20260825)
     mu40_gauss = _interaction_density_mu40(1, 20260826)
-    want_gauss = 2.0 + bca.q_h_finite(12, 6, 1)
+    want_gauss = 2.0 + bca.q_hv_finite(12, 6, 1, 1)
     dev_semi = abs(mu40_semi - 2.0)
     dev_gauss = abs(mu40_gauss - want_gauss)
     gate("07 regime endpoints", dev_semi <= 0.1 and dev_gauss <= 0.1,

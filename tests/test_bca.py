@@ -25,11 +25,9 @@ from qstrength.bca import (
     lam_for_xi_sq,
     lambda_capital,
     lambda_thermo,
-    q_h_finite,
     q_hv_finite,
     q_params_finite,
     q_params_infinite,
-    q_v_finite,
     resolve_system,
     strength_moment_prediction,
     xi_infinite,
@@ -192,14 +190,14 @@ class TestFiniteN:
         assert xi_sq_finite(12, 6, 1, 2, lam) == pytest.approx(0.5, rel=1e-14)
 
     def test_q_values_against_exact_fractions(self):
-        assert q_h_finite(12, 6, 1) == pytest.approx(36 / 49, rel=1e-14)
+        assert q_hv_finite(12, 6, 1, 1) == pytest.approx(36 / 49, rel=1e-14)
         assert q_hv_finite(12, 6, 1, 2) == pytest.approx(15 / 28, rel=1e-14)
         assert q_hv_finite(12, 6, 1, 6) == pytest.approx(1 / 14, rel=1e-14)
 
     def test_zero_when_rank_exceeds_half_filling(self):
         # q_v vanishes (to print rounding) once k > m - k contributions die out
-        assert q_v_finite(20, 8, 5) < 1e-3
-        assert q_v_finite(20, 8, 8) < 0.0315
+        assert q_hv_finite(20, 8, 5, 5) < 1e-3
+        assert q_hv_finite(20, 8, 8, 8) < 0.0315
 
 
 @pytest.mark.parametrize("key", sorted(TABLE_A))
@@ -207,9 +205,9 @@ def test_reference_table_t1(key):
     N, m, k = key
     ref = TABLE_A[key]
     got_q = (
-        q_h_finite(N, m, 1),
+        q_hv_finite(N, m, 1, 1),
         bca.binom(m - 1, 1) / bca.binom(m, 1),
-        q_v_finite(N, m, k),
+        q_hv_finite(N, m, k, k),
         bca.binom(m - k, k) / bca.binom(m, k),
         q_hv_finite(N, m, 1, k),
         bca.binom(m - 1, k) / bca.binom(m, k),
@@ -235,8 +233,8 @@ def test_reference_table_t2(key):
     N, m, k = key
     ref = TABLE_B[key]
     got = (
-        q_h_finite(N, m, 2),
-        q_v_finite(N, m, k),
+        q_hv_finite(N, m, 2, 2),
+        q_hv_finite(N, m, k, k),
         q_hv_finite(N, m, 2, k),
         q_params_finite(N, m, 2, k, 0.5).q_H,
     )

@@ -39,7 +39,7 @@ class TestDiagonalize:
         rng = np.random.default_rng(5)
         a = rng.standard_normal((40, 40))
         a = a + a.T
-        w, u = diagonalize(a)
+        w, u = diagonalize(a.copy())
         assert np.all(np.diff(w) >= 0)
         np.testing.assert_allclose(u @ np.diag(w) @ u.T, a, atol=1e-10)
 
@@ -66,10 +66,13 @@ class TestDiagonalize:
 
 # The in-place LAPACK solve must give numpy's eigh bit for bit: member H of a
 # t = 1 and a t = 2 system (the rotated t = 2 H is not exactly symmetric), the
+# t = 1 H scaled into dsyevd's scaling branch from below and from above, the
 # diagonal H at lam = 0, and d = 1 and 2.
 _EIGH_CASES = {
     "member-12-6-1-2": lambda: ensemble._member_hamiltonian(
         ensemble.RunConfig(N=12, m=6, t=1, k=2, xi_sq_target=0.5), 0)[1],
+    "member-12-6-1-2-x1e-150": lambda: _EIGH_CASES["member-12-6-1-2"]() * 1e-150,
+    "member-12-6-1-2-x1e150": lambda: _EIGH_CASES["member-12-6-1-2"]() * 1e150,
     "rotated-8-4-2-3": lambda: ensemble._member_hamiltonian(
         ensemble.RunConfig(N=8, m=4, t=2, k=3, xi_sq_target=0.5), 0)[1],
     "lambda-0": lambda: ensemble._member_hamiltonian(
@@ -77,35 +80,37 @@ _EIGH_CASES = {
     "d-1": lambda: np.array([[0.75]]),
     "d-2": lambda: np.array([[0.5, -1.25], [-1.25, 2.0]]),
 }
-_DSYEVD = spectral.openblas_symbol("scipy_dsyevd_64_")
-needs_dsyevd = pytest.mark.skipif(_DSYEVD is None,
-                                  reason="numpy's OpenBLAS has no scipy_dsyevd_64_")
+_LAPACK = [spectral.openblas_symbol(f"scipy_{name}_64_") for name in spectral._DSYEVD_STEPS]
+needs_lapack = pytest.mark.skipif(None in _LAPACK,
+                                  reason="numpy's OpenBLAS lacks a step of dsyevd")
 
 
-@needs_dsyevd
+@needs_lapack
 @pytest.mark.parametrize("case", _EIGH_CASES)
 def test_lapack_solve_is_numpy_eigh_bit_for_bit(case):
     mat = _EIGH_CASES[case]()
-    w, u = diagonalize(mat)
+    solved = mat.copy()
+    w, u = diagonalize(solved)
     w_ref, u_ref = np.linalg.eigh(mat)
     assert np.array_equal(w, w_ref) and np.array_equal(u, u_ref)
     assert u.flags.c_contiguous  # the layout downstream sums see, as eigh's
+    assert np.shares_memory(u, solved)  # u overwrites the matrix
 
 
-@needs_dsyevd
+@needs_lapack
 @pytest.mark.parametrize("case", ["member-12-6-1-2", "rotated-8-4-2-3", "d-1"])
 def test_eigh_fallback_matches_the_lapack_solve(monkeypatch, case):
     mat = _EIGH_CASES[case]()
-    w, u = diagonalize(mat)
+    w, u = diagonalize(mat.copy())
     monkeypatch.setattr(spectral, "openblas_symbol", lambda name: None)
-    w_ref, u_ref = diagonalize(mat)
+    w_ref, u_ref = diagonalize(mat.copy())
     assert np.array_equal(w, w_ref) and np.array_equal(u, u_ref)
 
 
 def test_dsyevd_resolves_wherever_the_thread_setter_does():
     if ensemble._blas_thread_setter() is None:
         pytest.skip("numpy's OpenBLAS has no scipy_openblas thread setter")
-    assert _DSYEVD is not None  # else diagonalize would fall back to eigh's larger footprint
+    assert None not in _LAPACK  # else diagonalize would fall back to eigh's larger footprint
 
 
 class TestOverlaps:
