@@ -290,11 +290,11 @@ def strength_moment_prediction(
 # benchmark tables
 
 
-def delta_table_rows(N: int, m: int, e_hats=(0.0, 1.0, 2.0)) -> list[dict]:
+def delta_table_rows(N: int, m: int) -> list[dict]:
     """Finite-N vs dilute-limit q parameters and fourth-moment corrections, t = 1.
 
     One row per interaction rank k = 2..m at xi^2 = 1/2; delta columns are the
-    relative fourth-moment corrections at the requested standardized energies,
+    relative fourth-moment corrections at the standardized energies 0, 1 and 2,
     evaluated with the finite-N parameters.
     """
     t = 1
@@ -305,13 +305,13 @@ def delta_table_rows(N: int, m: int, e_hats=(0.0, 1.0, 2.0)) -> list[dict]:
         row = {"N": N, "m": m, "t": t, "k": k}
         for name in ("q_h", "q_v", "q_hv"):
             row |= {name: getattr(fin, name), f"{name}_inf": getattr(inf_, name)}
-        for e in e_hats:
+        for e in (0.0, 1.0, 2.0):
             row[f"delta_{e:g}"] = strength_moment_prediction(e, fin, m, t, k).delta
         rows.append(row)
     return rows
 
 
-def composition_table_rows(systems=((12, 6), (24, 8), (40, 12)), ks=(2, 3, 4)) -> list[dict]:
+def composition_table_rows() -> list[dict]:
     """Finite-N q_h, q_v, q_hv and composed q_H at t = 2, xi^2 = 1/2.
 
     The t = k = 2 rows are included deliberately: the q-parameter combinatorics
@@ -320,8 +320,8 @@ def composition_table_rows(systems=((12, 6), (24, 8), (40, 12)), ks=(2, 3, 4)) -
     """
     t = 2
     rows = []
-    for N, m in systems:
-        for k in ks:
+    for N, m in ((12, 6), (24, 8), (40, 12)):
+        for k in (2, 3, 4):
             qs = q_params_finite(N, m, t, k, 0.5)
             rows.append({"N": N, "m": m, "t": t, "k": k,
                          **{name: getattr(qs, name) for name in ("q_h", "q_v", "q_hv", "q_H")}})

@@ -15,7 +15,7 @@ Either way H = diag(E0) + lam * V' is diagonalized once, and its eigenvectors u
 give the strength W = u * u directly.  Members are completely determined by
 (master seed, member index), so any subset can be recomputed anywhere; worker
 processes only change where a member is computed, never its result.  Each
-worker runs its BLAS on one thread when the loaded OpenBLAS exposes a thread
+worker runs its BLAS on one thread when numpy's OpenBLAS exposes a thread
 setter, so a pool does not oversubscribe the cores.
 
 Each member yields one tuple of partial sums: a StrengthReport (overlap rows
@@ -135,16 +135,17 @@ def _member_hamiltonian(cfg: RunConfig, member: int) -> tuple[np.ndarray, np.nda
     basis_t = fock.build_basis(cfg.N, cfg.t)
     basis_k = fock.build_basis(cfg.N, cfg.k)
     g0 = fock.sample_goe(basis_t.dim, cfg.seed, member, 0)
-    g1 = fock.sample_goe(basis_k.dim, cfg.seed, member, 1)
     if cfg.t == 1:
         eps, orb = np.linalg.eigh(g0)
         e0 = basis_m.occupations @ eps
         c = fock.compound_matrix(orb, cfg.k)
-        g1 = c.T @ g1 @ c  # v'; the embedding then holds one C(N, k)^2 array, not three
+        # v'; the embedding then holds one C(N, k)^2 array, not three
+        g1 = c.T @ fock.sample_goe(basis_k.dim, cfg.seed, member, 1) @ c
         del c
         h = fock.embed_k_body(g1, basis_m, basis_k)
-    else:
+    else:  # g1 is drawn after the H0 solve, which then holds only H0's arrays
         e0, u0 = spectral.diagonalize(fock.embed_k_body(g0, basis_m, basis_t))
+        g1 = fock.sample_goe(basis_k.dim, cfg.seed, member, 1)
         h = u0.T @ fock.embed_k_body(g1, basis_m, basis_k) @ u0
     h *= cfg.system().lam
     h.flat[:: basis_m.dim + 1] += e0
@@ -174,12 +175,8 @@ def run_member(cfg: RunConfig, member: int):
     return sums, None
 
 
-def _task(args):
-    return run_member(*args)
-
-
 def _blas_thread_setter():
-    """The thread-count setter of the OpenBLAS numpy bundles, or None if none is loaded."""
+    """The thread-count setter of numpy's OpenBLAS, or None if it has none."""
     return spectral.openblas_symbol("scipy_openblas_set_num_threads64_")
 
 
@@ -200,9 +197,9 @@ def run_ensemble(cfg: RunConfig) -> EnsembleResult:
             fock.compound_plan(cfg.N, rank)
     else:
         fock.embedding_plan(cfg.N, cfg.m, cfg.t)
-    tasks = [(cfg, member) for member in range(cfg.members)]
+    args = [cfg] * cfg.members, range(cfg.members)  # run_member's, member by member
     if cfg.workers == 1:
-        outcomes = list(map(_task, tasks))
+        outcomes = list(map(run_member, *args))
     else:
         from concurrent.futures import ProcessPoolExecutor  # one worker never maps it
         chunk = max(1, cfg.members // (4 * cfg.workers))
@@ -210,7 +207,7 @@ def run_ensemble(cfg: RunConfig) -> EnsembleResult:
             print("no OpenBLAS thread setter found: workers keep the default BLAS threads",
                   file=sys.stderr)
         with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_one_blas_thread) as pool:
-            outcomes = list(pool.map(_task, tasks, chunksize=chunk))
+            outcomes = list(pool.map(run_member, *args, chunksize=chunk))
     sums = outcomes[0][0]
     for partial, _ in outcomes[1:]:
         sums = tuple(total.merge(part) for total, part in zip(sums, partial))

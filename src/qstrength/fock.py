@@ -76,15 +76,15 @@ class FockBasis:
         return ((self.states[:, None] >> bits) & np.uint64(1)).astype(float)
 
 
-def build_basis(n_orb: int, n_part: int, cap: int = BASIS_DIM_CAP) -> FockBasis:
-    """Enumerate the fermion determinant basis in ascending bitmask order."""
+def build_basis(n_orb: int, n_part: int) -> FockBasis:
+    """Enumerate the fermion determinant basis in ascending bitmask order, up to BASIS_DIM_CAP."""
     if not 0 <= n_part <= n_orb:
         raise ValueError(f"need 0 <= n_part <= n_orb, got {n_part}, {n_orb}")
     if n_orb > _MAX_ORBITALS:
         raise ValueError(f"bitmask representation limited to {_MAX_ORBITALS} orbitals")
     dim = math.comb(n_orb, n_part)
-    if dim > cap:
-        raise ValueError(f"basis dimension {dim} exceeds cap {cap}")
+    if dim > BASIS_DIM_CAP:
+        raise ValueError(f"basis dimension {dim} exceeds cap {BASIS_DIM_CAP}")
     return _basis(n_orb, n_part)
 
 

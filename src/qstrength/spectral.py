@@ -3,12 +3,13 @@
 Each ensemble member is diagonalized once, in the eigenbasis of the mean-field
 operator H0: the unperturbed states |kappa> are unit vectors there, so the
 eigenvector matrix u of H itself gives the squared overlaps W = u * u, a
-doubly stochastic array.  The solve runs LAPACK's dsyevd steps in the
-member's own matrix, rebuilds the matrix for its residual guard from the
-triangle those steps leave intact, and returns u in the matrix's memory, so it
-holds three d x d arrays.  Rows of W, selected by windows on the standardized
-H0 spectrum and binned over the standardized H spectrum, give the strength
-functions F_kappa(E).  Every accumulator keeps one contract: its grid fields
+doubly stochastic array.  The solve runs the steps LAPACK's dsyevd takes on a
+matrix it does not scale, through numpy's own LAPACK, in the member's own
+matrix, rebuilds the matrix for its residual guard from the triangle those
+steps leave intact, and returns u in the matrix's memory, so it holds three
+d x d arrays.  Rows of W, selected by windows on the standardized H0 spectrum
+and binned over the standardized H spectrum, give the strength functions
+F_kappa(E).  Every accumulator keeps one contract: its grid fields
 (windows, edges) are fixed, every other field is a raw sum over members
 (weights, power sums, histograms, traces, member_count) starting at zero, and
 merge() adds two accumulators field by field, refusing different grids.  So
@@ -58,47 +59,46 @@ class DiagonalizationError(RuntimeError):
 
 @functools.cache
 def openblas_symbol(name: str):
-    """A function exported by the OpenBLAS numpy bundles, or None if none is loaded."""
-    try:
-        with open("/proc/self/maps") as fh:  # the mapped files, on Linux
-            libs = {path for path in (line.split()[-1] for line in fh)
-                    if path.startswith("/") and "openblas" in path.lower()}
-    except OSError:
-        return None
-    found = (getattr(ctypes.CDLL(lib), name, None) for lib in sorted(libs))
-    return next((fn for fn in found if fn is not None), None)
+    """A function of the library np.linalg calls into, or None if it exports none by that name."""
+    return getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), name, None)
 
 
-# The LAPACK routines dsyevd('V', 'L') runs, its workspace query first.
-_DSYEVD_STEPS = ("dsyevd", "dlansy", "dlascl", "dsytrd", "dstedc", "dormtr")
+# The LAPACK routines dsyevd('V', 'L') runs on a matrix it does not scale, its
+# workspace query first.
+_DSYEVD_STEPS = ("dsyevd", "dsytrd", "dstedc", "dormtr")
 # dsyevd scales a matrix whose largest entry lies outside [_RMIN, _RMAX]; its
 # DLAMCH('S') and DLAMCH('P') are numpy's tiny and eps.
 _SMLNUM = float(np.finfo(float).tiny / np.finfo(float).eps)
 _RMIN, _RMAX = math.sqrt(_SMLNUM), math.sqrt(1.0 / _SMLNUM)
+# Bounds of the guards: the reconstruction residual relative to ||A||, the
+# Gram deviation of u and the row and column sums of W.
+_RESIDUAL_TOL = 1e-9
+_ORTHONORMAL_TOL = 1e-10
+_STOCHASTIC_TOL = 1e-10
 
 
 def _fortran(fn, *args):
-    """Call an ILP64 Fortran routine of numpy's OpenBLAS and return its result.
+    """Call an ILP64 Fortran routine of numpy's LAPACK.
 
-    bytes are character arguments, floats doubles, arrays their data and every
-    other value a 64-bit integer, all by reference; the hidden lengths of the
-    character arguments follow.
+    bytes are character arguments, arrays their data and every other value a
+    64-bit integer, all by reference; the hidden lengths of the character
+    arguments follow.
     """
     refs = [a if isinstance(a, bytes) else a.ctypes if isinstance(a, np.ndarray)
-            else ctypes.byref(ctypes.c_double(a) if isinstance(a, float) else ctypes.c_int64(a))
-            for a in args]
-    return fn(*refs, *[ctypes.c_size_t(1)] * sum(isinstance(a, bytes) for a in args))
+            else ctypes.byref(ctypes.c_int64(a)) for a in args]
+    fn(*refs, *[ctypes.c_size_t(1)] * sum(isinstance(a, bytes) for a in args))
 
 
-def _dsyevd_in_place(mat, dsyevd, dlansy, dlascl, dsytrd, dstedc, dormtr):
+def _dsyevd_in_place(mat, dsyevd, dsytrd, dstedc, dormtr):
     """(w, ut, scratch): dsyevd('V', 'L') run step by step in an exactly symmetric mat.
 
-    Read in Fortran order, mat's memory is mat.  The steps, 1/sigma and the
-    splits of the queried workspace are dsyevd's own, so w and the rows of ut,
-    the eigenvectors, are np.linalg.eigh's bit for bit.  dlascl and dsytrd
-    write only the Fortran lower (C upper) triangle, so mat is rebuilt from its
-    strict lower triangle and the saved diagonal.  ut and the free d x d scratch
-    lie in the workspace.
+    Read in Fortran order, mat's memory is mat, and its largest entry is 0 or
+    within [_RMIN, _RMAX], so dsyevd would not scale it.  The steps and the
+    splits of the queried workspace are then dsyevd's own, so w and the rows of
+    ut, the eigenvectors, are np.linalg.eigh's bit for bit.  dsytrd writes only
+    the Fortran lower (C upper) triangle, so mat is rebuilt from its strict
+    lower triangle and the saved diagonal.  ut and the free d x d scratch lie
+    in the workspace.
     """
     d = len(mat)
     w, info = np.empty(d), np.zeros(1, dtype=np.int64)
@@ -106,11 +106,6 @@ def _dsyevd_in_place(mat, dsyevd, dlansy, dlascl, dsytrd, dstedc, dormtr):
     _fortran(dsyevd, b"V", b"L", d, mat, d, w, work, -1, iwork, -1, info)
     work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=np.int64)
     diag = mat.diagonal().copy()
-    dlansy.restype = ctypes.c_double
-    anrm = np.float64(_fortran(dlansy, b"M", b"L", d, mat, d, work))
-    sigma = _RMIN / anrm if 0.0 < anrm < _RMIN else _RMAX / anrm if anrm > _RMAX else None
-    if sigma is not None:
-        _fortran(dlascl, b"L", 0, 0, 1.0, sigma, d, d, mat, d, info)
     # dsyevd's INDE, INDTAU, INDWRK (the eigenvectors' d^2) and INDWK2 splits
     e, tau, z, rest = work[:d], work[d:2 * d], work[2 * d:], work[2 * d + d * d:]
     _fortran(dsytrd, b"L", d, mat, d, w, e, tau, z, len(z), info)
@@ -118,28 +113,25 @@ def _dsyevd_in_place(mat, dsyevd, dlansy, dlascl, dsytrd, dstedc, dormtr):
     if info[0] != 0:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     _fortran(dormtr, b"L", b"L", b"N", d, d, mat, d, tau, z, d, rest, len(rest), info)
-    if sigma is not None:
-        with np.errstate(divide="ignore"):  # sigma is 0 for an infinite entry, as in LAPACK
-            w *= 1.0 / sigma
     mirror_upper(mat.T)
     np.fill_diagonal(mat, diag)
     return w, z[: d * d].reshape(d, d), rest[: d * d].reshape(d, d)
 
 
-def diagonalize(
-    mat: np.ndarray, residual_tol: float = 1e-9, orthonormal_tol: float = 1e-10
-) -> tuple[np.ndarray, np.ndarray]:
+def diagonalize(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and orthonormal eigenvectors of a symmetric matrix.
 
     Overwrites mat, whose lower triangle (the one LAPACK reads) is the matrix:
     the eigenvectors u come back in C order in its memory.  A C-contiguous
     writable float array is used as is, anything else is copied first.  The
-    solve runs LAPACK dsyevd's own steps in mat through numpy's OpenBLAS, so
+    solve runs LAPACK dsyevd's own steps in mat through numpy's LAPACK, so
     (w, u) are np.linalg.eigh's bit for bit; the steps leave mat's strict lower
     triangle intact, and the matrix is rebuilt from it for the residual guard.
     mat and the 2 d^2 workspace, which the guards reuse, are the only d x d
-    arrays.  np.linalg.eigh solves where numpy's OpenBLAS lacks a step, and for
-    d = 1, where dsyevd returns before its steps.  The reconstruction residual
+    arrays.  np.linalg.eigh, which is dsyevd itself, solves a matrix dsyevd
+    would scale (largest entry |a| with 0 < |a| < _RMIN or |a| > _RMAX), a
+    non-finite one, d = 1, where dsyevd returns before its steps, and any
+    matrix where numpy's LAPACK lacks a step.  The reconstruction residual
     ||A u - u w|| and the Gram deviation of u are verified, NaN failing both;
     failures raise DiagonalizationError (a LinAlgError from a non-converging
     solver propagates).
@@ -149,8 +141,9 @@ def diagonalize(
     if mat.shape != (d, d):
         raise np.linalg.LinAlgError(f"matrix must be square, got shape {mat.shape}")
     mirror_upper(mat.T)  # the lower triangle into the upper one
+    anrm = np.maximum(mat.max(), -mat.min())  # dsyevd's dlansy('M'); NaN propagates
     steps = [openblas_symbol(f"scipy_{name}_64_") for name in _DSYEVD_STEPS]
-    if d > 1 and None not in steps:
+    if d > 1 and None not in steps and (anrm == 0.0 or _RMIN <= anrm <= _RMAX):
         w, ut, r = _dsyevd_in_place(mat, *steps)
     else:
         w, u = np.linalg.eigh(mat)
@@ -160,25 +153,25 @@ def diagonalize(
     for row, w_j, u_j in zip(r, w, ut):  # row by row, so the scratch is one row
         row -= w_j * u_j
     resid = float(np.linalg.norm(r))
-    if not resid <= residual_tol * max(scale, 1e-300):
+    if not resid <= _RESIDUAL_TOL * max(scale, 1e-300):
         raise DiagonalizationError(f"reconstruction residual {resid:.3e} vs scale {scale:.3e}")
     u = mat
     np.copyto(u, ut.T)
     gram = np.matmul(u.T, u, out=r)
     gram.flat[:: d + 1] -= 1.0
     gram_dev = float(np.max(np.abs(gram, out=gram)))
-    if not gram_dev <= orthonormal_tol:
+    if not gram_dev <= _ORTHONORMAL_TOL:
         raise DiagonalizationError(f"eigenvectors not orthonormal: deviation {gram_dev:.3e}")
     return w, u
 
 
-def overlaps(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def overlaps(u: np.ndarray) -> np.ndarray:
     """Squared-overlap matrix W[kappa, E] = |<kappa|E>|^2.
 
     u holds the eigenvectors |E> as columns, written in the basis of the
     unperturbed states |kappa>, so W = u * u elementwise.  Both row sums (fixed
-    kappa) and column sums (fixed E) must equal 1 within tol; this is the
-    doubly stochastic contract every downstream accumulator relies on.
+    kappa) and column sums (fixed E) must equal 1 within _STOCHASTIC_TOL; this
+    is the doubly stochastic contract every downstream accumulator relies on.
     """
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"eigenvector matrix must be square, got shape {u.shape}")
@@ -187,7 +180,7 @@ def overlaps(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         float(np.max(np.abs(wsq.sum(axis=0) - 1.0))),
         float(np.max(np.abs(wsq.sum(axis=1) - 1.0))),
     )
-    if not dev <= tol:
+    if not dev <= _STOCHASTIC_TOL:
         raise ValueError(f"overlap matrix not doubly stochastic: deviation {dev:.3e}")
     return wsq
 

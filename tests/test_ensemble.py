@@ -99,12 +99,9 @@ def test_one_many_body_eigensolve_for_one_body_mean_field(monkeypatch, system, e
 # before and after, then the workers' counts.  Exits 77 when that OpenBLAS has
 # no thread getter or no setter.
 _BLAS_SCRIPT = """
-import ctypes, multiprocessing
-from qstrength import ensemble
-with open("/proc/self/maps") as fh:
-    libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line})
-getters = [getattr(ctypes.CDLL(lib), "scipy_openblas_get_num_threads64_", None) for lib in libs]
-getter = next((g for g in getters if g is not None), None)
+import multiprocessing
+from qstrength import ensemble, spectral
+getter = spectral.openblas_symbol("scipy_openblas_get_num_threads64_")
 if getter is None or ensemble._blas_thread_setter() is None:
     raise SystemExit(77)
 run_member = ensemble.run_member

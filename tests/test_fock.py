@@ -228,9 +228,10 @@ def test_basis_states_ascending_and_indexed():
     np.testing.assert_array_equal(np.searchsorted(basis.states, basis.states), np.arange(basis.dim))
 
 
-def test_basis_cap_enforced():
-    with pytest.raises(ValueError, match="cap"):
-        build_basis(30, 15, cap=1000)
+def test_basis_cap_enforced(monkeypatch):
+    monkeypatch.setattr(fock, "BASIS_DIM_CAP", 1000)
+    with pytest.raises(ValueError, match="cap 1000"):
+        build_basis(30, 15)
     with pytest.raises(ValueError):
         build_basis(70, 2)
 

@@ -43,17 +43,19 @@ class TestDiagonalize:
         assert np.all(np.diff(w) >= 0)
         np.testing.assert_allclose(u @ np.diag(w) @ u.T, a, atol=1e-10)
 
-    def test_reconstruction_guard_trips(self):
+    def test_reconstruction_guard_trips(self, monkeypatch):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((12, 12))
+        monkeypatch.setattr(spectral, "_RESIDUAL_TOL", 1e-300)
         with pytest.raises(DiagonalizationError, match="residual"):
-            diagonalize(a + a.T, residual_tol=1e-300)
+            diagonalize(a + a.T)
 
-    def test_orthonormality_guard_trips(self):
+    def test_orthonormality_guard_trips(self, monkeypatch):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((12, 12))
+        monkeypatch.setattr(spectral, "_ORTHONORMAL_TOL", 1e-300)
         with pytest.raises(DiagonalizationError, match="orthonormal"):
-            diagonalize(a + a.T, orthonormal_tol=1e-300)
+            diagonalize(a + a.T)
 
 
     @pytest.mark.parametrize("lapack", [True, False], ids=["dsyevd", "eigh"])
@@ -66,8 +68,8 @@ class TestDiagonalize:
 
 # The in-place LAPACK solve must give numpy's eigh bit for bit: member H of a
 # t = 1 and a t = 2 system (the rotated t = 2 H is not exactly symmetric), the
-# t = 1 H scaled into dsyevd's scaling branch from below and from above, the
-# diagonal H at lam = 0, and d = 1 and 2.
+# t = 1 H scaled into dsyevd's scaling branch from below and from above (which
+# eigh solves), the diagonal H at lam = 0, and d = 1 and 2.
 _EIGH_CASES = {
     "member-12-6-1-2": lambda: ensemble._member_hamiltonian(
         ensemble.RunConfig(N=12, m=6, t=1, k=2, xi_sq_target=0.5), 0)[1],
@@ -105,6 +107,36 @@ def test_eigh_fallback_matches_the_lapack_solve(monkeypatch, case):
     monkeypatch.setattr(spectral, "openblas_symbol", lambda name: None)
     w_ref, u_ref = diagonalize(mat.copy())
     assert np.array_equal(w, w_ref) and np.array_equal(u, u_ref)
+
+
+# dsyevd scales a matrix whose largest entry lies outside [_RMIN, _RMAX] and
+# carries a non-finite one through; np.linalg.eigh, which is dsyevd, solves
+# both, and every other matrix goes through the in-place steps.
+@pytest.fixture
+def no_in_place_steps(monkeypatch):
+    def in_place(*args):
+        raise AssertionError("in-place steps called")
+
+    monkeypatch.setattr(spectral, "_dsyevd_in_place", in_place)
+
+
+@pytest.mark.parametrize("case", ["member-12-6-1-2-x1e-150", "member-12-6-1-2-x1e150"])
+def test_matrices_dsyevd_would_scale_go_to_eigh(no_in_place_steps, case):
+    mat = _EIGH_CASES[case]()
+    w, u = diagonalize(mat.copy())
+    w_ref, u_ref = np.linalg.eigh(mat)
+    assert np.array_equal(w, w_ref) and np.array_equal(u, u_ref)
+
+
+def test_non_finite_matrix_goes_to_eigh(no_in_place_steps):
+    with np.errstate(invalid="ignore"), pytest.raises(DiagonalizationError):
+        diagonalize(np.array([[1.0, np.inf], [np.inf, 1.0]]))
+
+
+@needs_lapack
+def test_in_range_member_runs_the_in_place_steps(no_in_place_steps):
+    with pytest.raises(AssertionError, match="in-place"):
+        diagonalize(_EIGH_CASES["member-12-6-1-2"]())
 
 
 def test_dsyevd_resolves_wherever_the_thread_setter_does():
