@@ -23,13 +23,24 @@ selected by windows on the standardized H0 spectrum), ChaosMeasures (NPC and
 information entropy binned on the standardized H spectrum), and with
 with_moments a BivariateMomentAccumulator of centered trace moments through
 fourth order, which needs only E0, E and W, so H is not kept: its
-eigenvectors overwrite it.  The parent merges the tuples position by position
-in member order, by the spectral module's sums contract (a failed member adds
-zeros), which makes the final numbers byte-identical for any worker count.
+eigenvectors overwrite it, and W overwrites them.  The parent merges the
+tuples position by position in member order, by the spectral module's sums
+contract (a failed member adds zeros), which makes the final numbers
+byte-identical for any worker count.
+
+A process that runs members allocates one member arena, on its first member:
+H's d x d matrix and one flat work area, which holds the eigensolve's
+workspace and, before and after the solve, every other large array of a
+member.  Members reuse it, so after the first they allocate nothing d x d.
+run_ensemble drops the caller's arena before it returns, and returns the
+caller's free heap to the system (glibc malloc_trim) before a pool forks.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import math
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -118,35 +129,77 @@ class MemberSpectra(NamedTuple):
     overlap_sq: np.ndarray  # W[kappa, E] = |<kappa|E>|^2
 
 
+class _Arena(NamedTuple):
+    h: np.ndarray  # d x d: H, then its eigenvectors u, then W = u * u
+    work: np.ndarray  # flat: every other large array of a member
+
+
+@functools.lru_cache(maxsize=1)
+def _member_arena(N: int, m: int, t: int, k: int) -> _Arena:
+    """This process's member arena, its work sized by the largest stage.
+
+    The solve's workspace and, after the solve, the accumulators' scratch.
+    Before it, for t = 1: the compound matrix; then C, g1 and C^T g1 (v' goes
+    into g1's slot, and the embedding's work starts at C^T g1's); for t >= 2:
+    H0's draw and embedding work, then V, the rank-k draw and its embedding
+    work, then V and U0^T V.
+    """
+    d, dt, dk = (math.comb(N, r) for r in (m, t, k))
+    if t == 1:
+        stage = max(fock.compound_work(N, k), 2 * dk * dk + fock.embed_work(dk))
+    else:
+        stage = max(dt * dt + fock.embed_work(dt), d * d + dk * dk + fock.embed_work(dk),
+                    2 * d * d)
+    size = max(spectral.diagonalize_work(d), spectral.chaos_work(d * d), stage)
+    return _Arena(np.empty((d, d)), np.empty(size))
+
+
 def member_spectra(cfg: RunConfig, member: int) -> MemberSpectra:
     """Build one member's H in the H0 eigenbasis and diagonalize it once.
 
+    H, its eigenvectors and then overlap_sq occupy the process's member arena,
+    so the arrays returned stay valid until this process's next member, and
+    threads of one process must not run members at the same time.
     Raises LinAlgError, DiagonalizationError or ValueError when an
     eigensolve or the doubly stochastic check fails.
     """
-    e0, h = _member_hamiltonian(cfg, member)  # its GOE draws and rotations are freed
-    e, u = spectral.diagonalize(h)  # u overwrites h
-    return MemberSpectra(e0, e, spectral.overlaps(u))
+    e0, h = _member_hamiltonian(cfg, member)
+    e, u = spectral.diagonalize(h, _member_arena(cfg.N, cfg.m, cfg.t, cfg.k).work)
+    return MemberSpectra(e0, e, spectral.overlaps(u, u))  # W overwrites u
 
 
 def _member_hamiltonian(cfg: RunConfig, member: int) -> tuple[np.ndarray, np.ndarray]:
-    """(E0, H): the H0 eigenvalues and H = diag(E0) + lam V' in the H0 eigenbasis."""
+    """(E0, H): the H0 eigenvalues and H = diag(E0) + lam V' in the H0 eigenbasis.
+
+    Every d x d and C(N, k)^2 array is laid out in the member arena, and H is
+    its matrix.
+    """
     basis_m = fock.build_basis(cfg.N, cfg.m)
     basis_t = fock.build_basis(cfg.N, cfg.t)
     basis_k = fock.build_basis(cfg.N, cfg.k)
-    g0 = fock.sample_goe(basis_t.dim, cfg.seed, member, 0)
+    h, work = _member_arena(cfg.N, cfg.m, cfg.t, cfg.k)
+    d, dt, dk = basis_m.dim, basis_t.dim, basis_k.dim
     if cfg.t == 1:
-        eps, orb = np.linalg.eigh(g0)
+        eps, orb = np.linalg.eigh(fock.sample_goe(dt, cfg.seed, member, 0))
         e0 = basis_m.occupations @ eps
-        c = fock.compound_matrix(orb, cfg.k)
-        # v'; the embedding then holds one C(N, k)^2 array, not three
-        g1 = c.T @ fock.sample_goe(basis_k.dim, cfg.seed, member, 1) @ c
-        del c
-        h = fock.embed_k_body(g1, basis_m, basis_k)
+        c = fock.compound_matrix(orb, cfg.k, work)  # the first C(N, k)^2 of work
+        _, g1, rot = fock.carve(work, 0, (dk, dk), (dk, dk), (dk, dk))
+        fock.sample_goe(dk, cfg.seed, member, 1, g1)
+        np.matmul(c.T, g1, out=rot)
+        np.matmul(rot, c, out=g1)  # v' = C^T g1 C
+        fock.embed_k_body(g1, basis_m, basis_k, h, work[2 * dk * dk:])
     else:  # g1 is drawn after the H0 solve, which then holds only H0's arrays
-        e0, u0 = spectral.diagonalize(fock.embed_k_body(g0, basis_m, basis_t))
-        g1 = fock.sample_goe(basis_k.dim, cfg.seed, member, 1)
-        h = u0.T @ fock.embed_k_body(g1, basis_m, basis_k) @ u0
+        (g0,) = fock.carve(work, 0, (dt, dt))
+        fock.sample_goe(dt, cfg.seed, member, 0, g0)
+        fock.embed_k_body(g0, basis_m, basis_t, h, work[dt * dt:])
+        e0, u0 = spectral.diagonalize(h, work)  # u0 overwrites h
+        v, g1 = fock.carve(work, 0, (d, d), (dk, dk))
+        fock.sample_goe(dk, cfg.seed, member, 1, g1)
+        fock.embed_k_body(g1, basis_m, basis_k, v, work[d * d + dk * dk:])
+        (rot,) = fock.carve(work, d * d, (d, d))
+        np.matmul(u0.T, v, out=rot)
+        np.matmul(rot, u0, out=v)  # V' = U0^T V U0
+        np.copyto(h, v)
     h *= cfg.system().lam
     h.flat[:: basis_m.dim + 1] += e0
     return e0, h
@@ -168,8 +221,9 @@ def run_member(cfg: RunConfig, member: int):
     except (np.linalg.LinAlgError, spectral.DiagonalizationError, ValueError) as exc:
         return sums, f"member {member}: {exc}"
     strength, chaos, *moments = sums
-    strength.add_member(e0, e1, spec.overlap_sq)
-    chaos.add_member(e1, spec.overlap_sq)
+    work = _member_arena(cfg.N, cfg.m, cfg.t, cfg.k).work
+    strength.add_member(e0, e1, spec.overlap_sq, work)
+    chaos.add_member(e1, spec.overlap_sq, work)
     for acc in moments:
         acc.add_member(spec.e0, spec.e, spec.overlap_sq)
     return sums, None
@@ -187,8 +241,22 @@ def _one_blas_thread() -> None:
         setter(1)
 
 
+def _malloc_trim():
+    """glibc's malloc_trim, or None where the C library has none."""
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    if trim is not None:
+        trim.argtypes = [ctypes.c_size_t]
+    return trim
+
+
 def run_ensemble(cfg: RunConfig) -> EnsembleResult:
-    """Run all members and reduce their partial sums in member order."""
+    """Run all members and reduce their partial sums in member order.
+
+    A process that runs members keeps one member arena; the calling process
+    drops its own before returning, so what follows does not stack on it.
+    Before a pool forks, the caller's free heap goes back to the system, so
+    the workers do not inherit it.
+    """
     # Build the embedding and compound tables up front so forked workers
     # inherit them (RunConfig has built the basis already).
     fock.embedding_plan(cfg.N, cfg.m, cfg.k)
@@ -197,17 +265,25 @@ def run_ensemble(cfg: RunConfig) -> EnsembleResult:
             fock.compound_plan(cfg.N, rank)
     else:
         fock.embedding_plan(cfg.N, cfg.m, cfg.t)
+    _member_arena.cache_clear()
     args = [cfg] * cfg.members, range(cfg.members)  # run_member's, member by member
-    if cfg.workers == 1:
-        outcomes = list(map(run_member, *args))
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # one worker never maps it
-        chunk = max(1, cfg.members // (4 * cfg.workers))
-        if _blas_thread_setter() is None:
-            print("no OpenBLAS thread setter found: workers keep the default BLAS threads",
-                  file=sys.stderr)
-        with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_one_blas_thread) as pool:
-            outcomes = list(pool.map(run_member, *args, chunksize=chunk))
+    try:
+        if cfg.workers == 1:
+            outcomes = list(map(run_member, *args))
+        else:
+            from concurrent.futures import ProcessPoolExecutor  # one worker never maps it
+            chunk = max(1, cfg.members // (4 * cfg.workers))
+            if _blas_thread_setter() is None:
+                print("no OpenBLAS thread setter found: workers keep the default BLAS threads",
+                      file=sys.stderr)
+            trim = _malloc_trim()
+            if trim is not None:
+                trim(0)
+            with ProcessPoolExecutor(max_workers=cfg.workers,
+                                     initializer=_one_blas_thread) as pool:
+                outcomes = list(pool.map(run_member, *args, chunksize=chunk))
+    finally:
+        _member_arena.cache_clear()
     sums = outcomes[0][0]
     for partial, _ in outcomes[1:]:
         sums = tuple(total.merge(part) for total, part in zip(sums, partial))

@@ -48,8 +48,11 @@ __all__ = [
     "build_basis",
     "sample_goe",
     "embedding_plan",
+    "embed_work",
     "embed_k_body",
     "compound_plan",
+    "carve",
+    "compound_work",
     "compound_matrix",
 ]
 
@@ -98,17 +101,27 @@ def _basis(n_orb: int, n_part: int) -> FockBasis:
     return FockBasis(n_orb, n_part, states)
 
 
-def sample_goe(dim: int, master_seed: int, member: int, stream: int = 0) -> np.ndarray:
+def sample_goe(dim: int, master_seed: int, member: int, stream: int = 0,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Symmetric GOE matrix: off-diagonal variance 1, diagonal variance 2.
 
     The generator is seeded by (master_seed, member, stream), so any member of
-    any operator stream can be regenerated in isolation, in any process.
+    any operator stream can be regenerated in isolation, in any process.  The
+    draw a is made in out (a new array if None) and replaced there by
+    (a + a^T) / sqrt(2) one row and column at a time, so the scratch is one row.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(member, stream))
-    a = np.random.default_rng(ss).standard_normal((dim, dim))
-    return (a + a.T) / math.sqrt(2.0)
+    a = np.random.default_rng(ss).standard_normal(out=np.empty((dim, dim)) if out is None else out)
+    root2, row = math.sqrt(2.0), np.empty(dim)
+    for i in range(dim):  # row i and column i from the corner on, which no earlier step wrote
+        r = row[: dim - i]
+        np.add(a[i, i:], a[i:, i], out=r)
+        r /= root2
+        a[i, i:] = r
+        a[i:, i] = r
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +137,7 @@ class _EmbeddingPlan:
 
 _CHUNK = 1 << 14  # plan terms handled per step, when building and when embedding
 _MIRROR_ROWS = 32  # row block of the in-place mirror
+_COMPOUND_ROWS = 64  # row block of a Laplace step's products
 
 
 def _spectator_blocks(spect, combos, basis_m, basis_r):
@@ -198,12 +212,31 @@ def mirror_upper(a: np.ndarray) -> None:
         a[hi:, lo:hi] = a[lo:hi, hi:].T
 
 
-def embed_k_body(coeffs: np.ndarray, basis_m: FockBasis, basis_r: FockBasis) -> np.ndarray:
+def carve(work: np.ndarray, start: int, *shapes: tuple[int, int]) -> list[np.ndarray]:
+    """Consecutive C-order views of the given shapes in the flat work, from work[start]."""
+    views = []
+    for rows, cols in shapes:
+        views.append(work[start:start + rows * cols].reshape(rows, cols))
+        start += rows * cols
+    return views
+
+
+def embed_work(dim_r: int) -> int:
+    """Doubles of work embed_k_body uses for a rank-r basis of dim_r determinants."""
+    return dim_r * (dim_r + 1) + 2 * _CHUNK
+
+
+def embed_k_body(coeffs: np.ndarray, basis_m: FockBasis, basis_r: FockBasis,
+                 out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
     """Embed the symmetric part of a rank-r coefficient matrix into the m-particle basis.
 
     coeffs[a, b] multiplies B+(a) B(b) summed over all rank-r determinant pairs;
     the result is the dense m-particle matrix of (coeffs + coeffs^T) / 2, the
-    symmetric part of the embedded coeffs, and is exactly symmetric.  Each
+    symmetric part of the embedded coeffs, and is exactly symmetric.  It is
+    written into out (a new array if None).  The signed vector and one chunk
+    of gathered terms and their intp indices lie in the flat work of
+    embed_work(basis_r.dim) doubles (a new one if None), which must not
+    overlap coeffs; the signed vector is complete before out is written.  Each
     upper-triangle entry adds its terms in plan order, one chunk of terms at a
     time, and the lower triangle is mirrored in place.
     """
@@ -211,18 +244,31 @@ def embed_k_body(coeffs: np.ndarray, basis_m: FockBasis, basis_r: FockBasis) -> 
         raise ValueError("bases must share the orbital set")
     if not 0 <= basis_r.n_part <= basis_m.n_part:
         raise ValueError("operator rank must not exceed the particle number")
-    if coeffs.shape != (basis_r.dim, basis_r.dim):
-        raise ValueError(f"coefficient matrix must be {basis_r.dim} x {basis_r.dim}")
+    dr = basis_r.dim
+    if coeffs.shape != (dr, dr):
+        raise ValueError(f"coefficient matrix must be {dr} x {dr}")
     plan = embedding_plan(basis_m.n_orb, basis_m.n_part, basis_r.n_part)
-    sym = 0.5 * (coeffs + coeffs.T)
-    tri = sym[~np.tri(len(sym), k=-1, dtype=bool)]
-    signed = np.concatenate([tri, -tri])
-    del sym, tri  # before the output exists, so the peak is out plus signed
-    out = np.zeros((plan.dim, plan.dim))
+    if work is None:
+        work = np.empty(embed_work(dr))
+    n_tri = dr * (dr + 1) // 2
+    signed, terms, index = np.split(work[: embed_work(dr)], [2 * n_tri, 2 * n_tri + _CHUNK])
+    index = index.view(np.intp)  # the plan's int32 indices, cast once per chunk
+    start = 0
+    for a in range(dr):  # row a of the upper triangle of coeffs + coeffs^T
+        np.add(coeffs[a, a:], coeffs[a:, a], out=signed[start:start + dr - a])
+        start += dr - a
+    signed[:n_tri] *= 0.5
+    np.negative(signed[:n_tri], out=signed[n_tri:])
+    out = np.empty((plan.dim, plan.dim)) if out is None else out
+    out.fill(0.0)
     upper = out.ravel()
     for lo in range(0, len(plan.src), _CHUNK):
-        hi = lo + _CHUNK
-        np.add.at(upper, plan.flat[lo:hi], signed.take(plan.src[lo:hi]))
+        src, flat = plan.src[lo:lo + _CHUNK], plan.flat[lo:lo + _CHUNK]
+        idx, vals = index[: len(src)], terms[: len(src)]
+        np.copyto(idx, src)
+        np.take(signed, idx, out=vals, mode="clip")  # unbuffered
+        np.copyto(idx, flat)
+        np.add.at(upper, idx, vals)
     mirror_upper(out)
     return out
 
@@ -251,11 +297,26 @@ def compound_plan(n_orb: int, r: int) -> _CompoundPlan:
     return _CompoundPlan(*parts)
 
 
-def compound_matrix(o: np.ndarray, r: int) -> np.ndarray:
+def compound_work(n_orb: int, r: int) -> int:
+    """Doubles of work compound_matrix(o, r, work) uses for an n_orb x n_orb o."""
+    need = n_orb * n_orb
+    for s in range(2, r + 1):
+        ds, dp = math.comb(n_orb, s), math.comb(n_orb, s - 1)
+        need = max(need, max(ds, dp) ** 2 + ds * (dp + n_orb + 2 * min(ds, _COMPOUND_ROWS)))
+    return need
+
+
+def compound_matrix(o: np.ndarray, r: int, work: np.ndarray | None = None) -> np.ndarray:
     """r-th compound C_r(O)[I, J] = det O[I, J] over the rank-r basis order.
 
     Each rank comes from the one below by expanding along the first row of
     O[I, J]: det O[I, J] = sum_p (-1)^p O[i_1, j_p] det O[I - i_1, J - j_p].
+    Every array lies in the flat work of compound_work(len(o), r) doubles (a new
+    one if None).  C_r^T is built in C order in the first D^2, so C_r comes
+    back in Fortran order, the layout the products it enters are computed for:
+    a step gathers the columns of C_{r-1} it expands, after which C_r^T
+    overwrites C_{r-1}^T one block of _COMPOUND_ROWS rows (columns J of C_r)
+    at a time.
     """
     o = np.asarray(o, dtype=float)
     n = len(o)
@@ -263,19 +324,31 @@ def compound_matrix(o: np.ndarray, r: int) -> np.ndarray:
         raise ValueError("orbital matrix must be square")
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= {n}, got {r}")
-    c = o.copy()
+    if work is None:
+        work = np.empty(compound_work(n, r))
+    (ct,) = carve(work, 0, (n, n))
+    ct[...] = o.T
     for s in range(2, r + 1):
         plan = compound_plan(n, s)
-        lead = o[plan.orbs[:, 0]]
-        sub = c[plan.minors[:, 0]]
-        nxt = lead[:, plan.orbs[:, 0]] * sub[:, plan.minors[:, 0]]
-        term = np.empty_like(nxt)  # reused, so a step holds three D x D arrays
-        for p in range(1, s):
-            np.take(lead, plan.orbs[:, p], axis=1, out=term, mode="clip")  # unbuffered
-            term *= sub[:, plan.minors[:, p]]
-            if p % 2:
-                nxt -= term
-            else:
-                nxt += term
-        c = nxt
-    return c
+        ds, dp, blk = len(plan.orbs), len(ct), min(len(plan.orbs), _COMPOUND_ROWS)
+        # above both C_{r-1}^T and C_r^T, which overwrites it once sub is gathered
+        sub, lead, term, factor = carve(work, max(ds, dp) ** 2, (dp, ds), (n, ds),
+                                        (blk, ds), (blk, ds))
+        np.take(ct, plan.minors[:, 0], axis=1, out=sub, mode="clip")  # mode="clip" is unbuffered
+        np.take(o.T, plan.orbs[:, 0], axis=1, out=lead, mode="clip")
+        (ct,) = carve(work, 0, (ds, ds))
+        for lo in range(0, ds, blk):
+            rows = ct[lo:lo + blk]
+            t, f = term[: len(rows)], factor[: len(rows)]
+            for p in range(s):
+                np.take(lead, plan.orbs[lo:lo + blk, p], axis=0, out=t, mode="clip")
+                np.take(sub, plan.minors[lo:lo + blk, p], axis=0, out=f, mode="clip")
+                if p == 0:
+                    np.multiply(t, f, out=rows)
+                    continue
+                t *= f
+                if p % 2:
+                    rows -= t
+                else:
+                    rows += t
+    return ct.T

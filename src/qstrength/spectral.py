@@ -7,9 +7,11 @@ doubly stochastic array.  The solve runs the steps LAPACK's dsyevd takes on a
 matrix it does not scale, through numpy's own LAPACK, in the member's own
 matrix, rebuilds the matrix for its residual guard from the triangle those
 steps leave intact, and returns u in the matrix's memory, so it holds three
-d x d arrays.  Rows of W, selected by windows on the standardized H0 spectrum
-and binned over the standardized H spectrum, give the strength functions
-F_kappa(E).  Every accumulator keeps one contract: its grid fields
+d x d arrays.  The workspace, W (which may overwrite u) and the accumulators'
+scratch can all be the caller's, so a caller that keeps them allocates
+nothing d x d per member.  Rows of W, selected by windows on the standardized
+H0 spectrum and binned over the standardized H spectrum, give the strength
+functions F_kappa(E).  Every accumulator keeps one contract: its grid fields
 (windows, edges) are fixed, every other field is a raw sum over members
 (weights, power sums, histograms, traces, member_count) starting at zero, and
 merge() adds two accumulators field by field, refusing different grids.  So
@@ -42,8 +44,10 @@ __all__ = [
     "StrengthReport",
     "ChaosMeasures",
     "BivariateMomentAccumulator",
+    "diagonalize_work",
     "diagonalize",
     "overlaps",
+    "chaos_work",
     "standardize",
     "centroid_slope",
     "window_predictions",
@@ -89,27 +93,51 @@ def _fortran(fn, *args):
     fn(*refs, *[ctypes.c_size_t(1)] * sum(isinstance(a, bytes) for a in args))
 
 
-def _dsyevd_in_place(mat, dsyevd, dsytrd, dstedc, dormtr):
+def _dsyevd_query(d: int, dsyevd) -> tuple[int, int]:
+    """(LWORK, LIWORK) of dsyevd('V', 'L') on a d x d matrix; the query reads neither array."""
+    work, iwork, info = np.empty(1), np.empty(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    _fortran(dsyevd, b"V", b"L", d, work, d, work, work, -1, iwork, -1, info)
+    return int(work[0]), int(iwork[0])
+
+
+def _lapack_steps():
+    """The functions of _DSYEVD_STEPS in numpy's LAPACK, or None if one is missing."""
+    steps = [openblas_symbol(f"scipy_{name}_64_") for name in _DSYEVD_STEPS]
+    return None if None in steps else steps
+
+
+def diagonalize_work(d: int) -> int:
+    """Doubles of work diagonalize(mat, work) uses for a d x d mat: at least d^2.
+
+    With numpy's LAPACK steps it is dsyevd's queried LWORK plus LIWORK, which
+    is 2 d^2 + 11 d + 4 at every d of a reference system; the integer
+    workspace follows the LWORK doubles.
+    """
+    steps = _lapack_steps()
+    return max(d * d, sum(_dsyevd_query(d, steps[0])) if steps else 0)
+
+
+def _dsyevd_in_place(mat, work, dsyevd, dsytrd, dstedc, dormtr):
     """(w, ut, scratch): dsyevd('V', 'L') run step by step in an exactly symmetric mat.
 
     Read in Fortran order, mat's memory is mat, and its largest entry is 0 or
     within [_RMIN, _RMAX], so dsyevd would not scale it.  The steps and the
-    splits of the queried workspace are then dsyevd's own, so w and the rows of
-    ut, the eigenvectors, are np.linalg.eigh's bit for bit.  dsytrd writes only
-    the Fortran lower (C upper) triangle, so mat is rebuilt from its strict
-    lower triangle and the saved diagonal.  ut and the free d x d scratch lie
-    in the workspace.
+    splits of the queried workspace, which starts work, are then dsyevd's own,
+    and every step is passed exactly the queried length, however long work is,
+    so w and the rows of ut, the eigenvectors, are np.linalg.eigh's bit for
+    bit.  dsytrd writes only the Fortran lower (C upper) triangle, so mat is
+    rebuilt from its strict lower triangle and the saved diagonal.  ut and the
+    free d x d scratch lie in the workspace.
     """
     d = len(mat)
     w, info = np.empty(d), np.zeros(1, dtype=np.int64)
-    work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
-    _fortran(dsyevd, b"V", b"L", d, mat, d, w, work, -1, iwork, -1, info)
-    work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=np.int64)
+    lwork, liwork = _dsyevd_query(d, dsyevd)
+    work, iwork = work[:lwork], work[lwork:lwork + liwork].view(np.int64)
     diag = mat.diagonal().copy()
     # dsyevd's INDE, INDTAU, INDWRK (the eigenvectors' d^2) and INDWK2 splits
     e, tau, z, rest = work[:d], work[d:2 * d], work[2 * d:], work[2 * d + d * d:]
     _fortran(dsytrd, b"L", d, mat, d, w, e, tau, z, len(z), info)
-    _fortran(dstedc, b"I", d, w, e, z, d, rest, len(rest), iwork, len(iwork), info)
+    _fortran(dstedc, b"I", d, w, e, z, d, rest, len(rest), iwork, liwork, info)
     if info[0] != 0:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     _fortran(dormtr, b"L", b"L", b"N", d, d, mat, d, tau, z, d, rest, len(rest), info)
@@ -118,36 +146,40 @@ def _dsyevd_in_place(mat, dsyevd, dsytrd, dstedc, dormtr):
     return w, z[: d * d].reshape(d, d), rest[: d * d].reshape(d, d)
 
 
-def diagonalize(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def diagonalize(mat: np.ndarray, work: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and orthonormal eigenvectors of a symmetric matrix.
 
     Overwrites mat, whose lower triangle (the one LAPACK reads) is the matrix:
     the eigenvectors u come back in C order in its memory.  A C-contiguous
-    writable float array is used as is, anything else is copied first.  The
-    solve runs LAPACK dsyevd's own steps in mat through numpy's LAPACK, so
-    (w, u) are np.linalg.eigh's bit for bit; the steps leave mat's strict lower
-    triangle intact, and the matrix is rebuilt from it for the residual guard.
-    mat and the 2 d^2 workspace, which the guards reuse, are the only d x d
-    arrays.  np.linalg.eigh, which is dsyevd itself, solves a matrix dsyevd
-    would scale (largest entry |a| with 0 < |a| < _RMIN or |a| > _RMAX), a
-    non-finite one, d = 1, where dsyevd returns before its steps, and any
-    matrix where numpy's LAPACK lacks a step.  The reconstruction residual
-    ||A u - u w|| and the Gram deviation of u are verified, NaN failing both;
-    failures raise DiagonalizationError (a LinAlgError from a non-converging
-    solver propagates).
+    writable float array is used as is, anything else is copied first.  work
+    is a flat float array of at least diagonalize_work(d) doubles (a new one if
+    None) and holds the solve's workspace and the guards' scratch; the
+    eigenvalues are a new array.  The solve runs LAPACK dsyevd's own steps in
+    mat through numpy's LAPACK, so (w, u) are np.linalg.eigh's bit for bit; the
+    steps leave mat's strict lower triangle intact, and the matrix is rebuilt
+    from it for the residual guard.  mat and the 2 d^2 workspace, which the
+    guards reuse, are the only d x d arrays.  np.linalg.eigh, which is dsyevd
+    itself, solves a matrix dsyevd would scale (largest entry |a| with
+    0 < |a| < _RMIN or |a| > _RMAX), a non-finite one, d = 1, where dsyevd
+    returns before its steps, and any matrix where numpy's LAPACK lacks a step.
+    The reconstruction residual ||A u - u w|| and the Gram deviation of u are
+    verified, NaN failing both; failures raise DiagonalizationError (a
+    LinAlgError from a non-converging solver propagates).
     """
     mat = np.require(mat, dtype=float, requirements="CW")
     d = len(mat)
     if mat.shape != (d, d):
         raise np.linalg.LinAlgError(f"matrix must be square, got shape {mat.shape}")
+    if work is None:
+        work = np.empty(diagonalize_work(d))
     mirror_upper(mat.T)  # the lower triangle into the upper one
     anrm = np.maximum(mat.max(), -mat.min())  # dsyevd's dlansy('M'); NaN propagates
-    steps = [openblas_symbol(f"scipy_{name}_64_") for name in _DSYEVD_STEPS]
-    if d > 1 and None not in steps and (anrm == 0.0 or _RMIN <= anrm <= _RMAX):
-        w, ut, r = _dsyevd_in_place(mat, *steps)
+    steps = _lapack_steps()
+    if d > 1 and steps and (anrm == 0.0 or _RMIN <= anrm <= _RMAX):
+        w, ut, r = _dsyevd_in_place(mat, work, *steps)
     else:
         w, u = np.linalg.eigh(mat)
-        ut, r = u.T, np.empty((d, d))
+        ut, r = u.T, work[: d * d].reshape(d, d)
     scale = float(np.linalg.norm(mat))
     np.matmul(ut, mat, out=r)  # (A u)^T, A being symmetric
     for row, w_j, u_j in zip(r, w, ut):  # row by row, so the scratch is one row
@@ -165,8 +197,8 @@ def diagonalize(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, u
 
 
-def overlaps(u: np.ndarray) -> np.ndarray:
-    """Squared-overlap matrix W[kappa, E] = |<kappa|E>|^2.
+def overlaps(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Squared-overlap matrix W[kappa, E] = |<kappa|E>|^2, written into out (may be u).
 
     u holds the eigenvectors |E> as columns, written in the basis of the
     unperturbed states |kappa>, so W = u * u elementwise.  Both row sums (fixed
@@ -175,7 +207,7 @@ def overlaps(u: np.ndarray) -> np.ndarray:
     """
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"eigenvector matrix must be square, got shape {u.shape}")
-    wsq = u * u
+    wsq = np.multiply(u, u, out=out)
     dev = max(
         float(np.max(np.abs(wsq.sum(axis=0) - 1.0))),
         float(np.max(np.abs(wsq.sum(axis=1) - 1.0))),
@@ -257,11 +289,16 @@ class StrengthReport(_Sums):
 
     # -- accumulation ------------------------------------------------------
 
-    def add_member(self, e0_hat: np.ndarray, e_hat: np.ndarray, overlap_sq: np.ndarray) -> None:
+    def add_member(self, e0_hat: np.ndarray, e_hat: np.ndarray, overlap_sq: np.ndarray,
+                   work: np.ndarray | None = None) -> None:
+        """Add one member; a window's rows of W are gathered into the flat float
+        work of W.size doubles (a new array per window if None)."""
         powers = np.array([e_hat, e_hat**2, e_hat**3, e_hat**4])
         for i, (lo, hi) in enumerate(self.windows):
             sel = (e0_hat >= lo) & (e0_hat < hi)
-            w = overlap_sq[sel].sum(axis=0)
+            rows = np.flatnonzero(sel)
+            out = None if work is None else work[: rows.size * len(e_hat)].reshape(-1, len(e_hat))
+            w = overlap_sq.take(rows, axis=0, out=out, mode="clip").sum(axis=0)
             self.n_kappa[i] += int(np.count_nonzero(sel))
             self.weight[i] += float(w.sum())
             self.sum_e0[i] += float(e0_hat[sel].sum())
@@ -363,6 +400,11 @@ def centroid_slope(report: StrengthReport, e0_max: float | None = None) -> float
 # chaos measures
 
 
+def chaos_work(size: int) -> int:
+    """Doubles of work ChaosMeasures.add_member uses for a W of size entries, its mask included."""
+    return size + -(-size // 8)
+
+
 @dataclass
 class ChaosMeasures(_Sums):
     """Binned number of principal components and information entropy.
@@ -379,9 +421,18 @@ class ChaosMeasures(_Sums):
     ipr_sum: np.ndarray = _sum("bin")
     ent_sum: np.ndarray = _sum("bin")
 
-    def add_member(self, e_hat: np.ndarray, overlap_sq: np.ndarray) -> None:
-        ipr = np.sum(overlap_sq**2, axis=0)
-        ent_terms = np.log(overlap_sq, out=np.zeros_like(overlap_sq), where=overlap_sq > 0.0)
+    def add_member(self, e_hat: np.ndarray, overlap_sq: np.ndarray,
+                   work: np.ndarray | None = None) -> None:
+        """Bin one member; its scratch, W^2 and then W ln W, and W > 0 as a
+        mask lie in the flat float work of chaos_work(W.size) doubles (a new one if None)."""
+        d2 = overlap_sq.size
+        if work is None:
+            work = np.empty(chaos_work(d2))
+        terms = work[:d2].reshape(overlap_sq.shape)
+        positive = work[d2:].view(bool)[:d2].reshape(overlap_sq.shape)
+        ipr = np.sum(np.square(overlap_sq, out=terms), axis=0)
+        terms.fill(0.0)
+        ent_terms = np.log(overlap_sq, out=terms, where=np.greater(overlap_sq, 0.0, out=positive))
         ent_terms *= overlap_sq
         ent = -np.sum(ent_terms, axis=0)
         self.count += np.histogram(e_hat, bins=self.edges)[0]

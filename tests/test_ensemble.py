@@ -9,6 +9,7 @@ eigenvalues and overlaps with one eigensolve of H per member.
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -78,9 +79,9 @@ def test_one_many_body_eigensolve_for_one_body_mean_field(monkeypatch, system, e
     calls = {"diagonalize": 0, "embed": 0}
     diagonalize, embed = spectral.diagonalize, fock.embed_k_body
 
-    def counted_diagonalize(mat):
+    def counted_diagonalize(*args):
         calls["diagonalize"] += 1
-        return diagonalize(mat)
+        return diagonalize(*args)
 
     def counted_embed(*args):
         calls["embed"] += 1
@@ -142,22 +143,59 @@ def test_pool_without_a_blas_setter_says_so(monkeypatch, capsys):
                                             ((10, 5, 1, 4), 4)],
                          ids=["10-5-1-2", "12-6-1-4", "10-5-1-4"])
 def test_member_working_set_is_three_dense_matrices(system, arrays):
-    # H, whose memory takes the eigenvectors, and LAPACK's 2 d^2 workspace,
-    # which the guards reuse; tracemalloc sees every numpy allocation, the
-    # workspace included.  The O(d) slack covers the eigenvalues, LAPACK's
-    # integer workspace, a row block of the in-place triangle copy and a ufunc
-    # buffer of 8192 doubles.  At (10,5,1,4) the rank-4 compound matrix and
-    # embedding stage (C(10,4) = 210 against d = 252) peaks above the solve,
-    # at about 3.7 d^2, so that case keeps the four-array bound.
+    # A member on a cold arena allocates it: H, whose memory takes the
+    # eigenvectors and then W, and a flat work area that holds LAPACK's 2 d^2
+    # workspace during the solve, the draws, compound matrix, rotation and
+    # embedding buffers before it, and the guards' and accumulators' scratch
+    # after it; tracemalloc sees every numpy allocation.  The O(d) slack covers
+    # LAPACK's integer workspace, the eigenvalues, O(d) temporaries and a
+    # row block of the in-place triangle copy.  At (10,5,1,4) the rank-4
+    # stage (C(10,4) = 210 against d = 252) sizes the work area, and the member
+    # peaks at 3.75 d^2, so that case keeps the four-array bound.  A warm
+    # member allocates nothing d x d: measured 0.03 d^2 at d = 924 and
+    # 0.15 d^2 at d = 252, all of it O(d).
     N, m, t, k = system
     cfg = RunConfig(N=N, m=m, t=t, k=k, xi_sq_target=0.5, members=2, with_moments=True)
     d = fock.build_basis(cfg.N, cfg.m).dim
     run_member(cfg, 0)  # builds the cached plans outside the trace
-    tracemalloc.start()
-    try:
-        _, err = run_member(cfg, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert err is None
-    assert peak <= 8 * (arrays * d * d + 64 * d), f"{peak / (8 * d * d):.2f} d^2 doubles"
+    peaks = []
+    ensemble._member_arena.cache_clear()
+    for member in (1, 2):  # on a cold arena, then on the one member 1 left
+        tracemalloc.start()
+        try:
+            _, err = run_member(cfg, member)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert err is None
+    cold, warm = (peak / (8 * d * d) for peak in peaks)
+    assert peaks[0] <= 8 * (arrays * d * d + 64 * d), f"cold member {cold:.2f} d^2 doubles"
+    assert warm <= 0.25, f"warm member {warm:.3f} d^2 doubles"
+
+
+def test_run_ensemble_leaves_no_arena_in_the_caller():
+    cfg = RunConfig(N=8, m=4, t=1, k=2, xi_sq_target=0.5, members=3)
+    member_spectra(cfg, 0)
+    assert ensemble._member_arena.cache_info().currsize == 1
+    assert not run_ensemble(cfg).failures
+    assert ensemble._member_arena.cache_info().currsize == 0
+
+
+def test_pool_sums_do_not_depend_on_the_pre_fork_trim(monkeypatch):
+    cfg = RunConfig(N=8, m=4, t=1, k=2, xi_sq_target=0.5, members=4, workers=2,
+                    with_moments=True)
+    calls, trim = [], ensemble._malloc_trim()
+
+    def spy(pad):
+        calls.append(pad)
+        return 0 if trim is None else trim(pad)
+
+    monkeypatch.setattr(ensemble, "_malloc_trim", lambda: spy)
+    trimmed = run_ensemble(cfg)
+    monkeypatch.setattr(ensemble, "_malloc_trim", lambda: None)
+    untrimmed = run_ensemble(cfg)
+    assert calls == [0] and not trimmed.failures and not untrimmed.failures
+    for ours, theirs in zip((trimmed.strength, trimmed.chaos, trimmed.moments),
+                            (untrimmed.strength, untrimmed.chaos, untrimmed.moments)):
+        for f in fields(ours):
+            assert np.array_equal(getattr(ours, f.name), getattr(theirs, f.name), equal_nan=True)

@@ -20,7 +20,9 @@ from qstrength.fock import (
     build_basis,
     compound_matrix,
     compound_plan,
+    compound_work,
     embed_k_body,
+    embed_work,
     embedding_plan,
     sample_goe,
 )
@@ -379,6 +381,23 @@ def test_compound_rotation_commutes_with_embedding(n_orb, m, k):
     got = embed_k_body(ck.T @ v @ ck, basis_m, basis_k)
     want = cm.T @ embed_k_body(v, basis_m, basis_k) @ cm
     np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_orb, m, r", [(8, 4, 2), (9, 7, 7)])
+def test_caller_buffers_change_no_bit(n_orb, m, r):
+    # a member builds these over the stale values of its arena
+    basis_m, basis_r = build_basis(n_orb, m), build_basis(n_orb, r)
+    dr, o = basis_r.dim, _orthogonal(n_orb, 5)
+    work = np.full(compound_work(n_orb, r) + dr * dr + embed_work(dr), np.nan)
+    c = compound_matrix(o, r, work)
+    np.testing.assert_array_equal(c, compound_matrix(o, r))
+    # Fortran order: C_k^T g C_k is computed for it, and its bits depend on it
+    assert c.flags.f_contiguous
+    g = sample_goe(dr, 7, 2, 1, work[:dr * dr].reshape(dr, dr))
+    np.testing.assert_array_equal(g, sample_goe(dr, 7, 2, 1))
+    out = np.full((basis_m.dim, basis_m.dim), np.nan)
+    embed_k_body(g, basis_m, basis_r, out, work[dr * dr:])
+    np.testing.assert_array_equal(out, embed_k_body(g, basis_m, basis_r))
 
 
 def test_compound_plans_are_shared_and_read_only():

@@ -60,10 +60,24 @@ class TestDiagonalize:
 
     @pytest.mark.parametrize("lapack", [True, False], ids=["dsyevd", "eigh"])
     def test_non_finite_matrix_trips_a_guard(self, monkeypatch, lapack):
-        if not lapack:
+        if lapack:  # one NaN in the eigenvectors the in-place steps leave in the workspace
+            if None in _LAPACK:
+                pytest.skip("numpy's OpenBLAS lacks a step of dsyevd")
+            in_place = spectral._dsyevd_in_place
+
+            def one_nan(*args):
+                w, ut, scratch = in_place(*args)
+                ut[3, 5] = np.nan
+                return w, ut, scratch
+
+            monkeypatch.setattr(spectral, "_dsyevd_in_place", one_nan)
+            a = np.random.default_rng(7).standard_normal((12, 12))
+            mat, work = a + a.T, np.empty(spectral.diagonalize_work(12) + 100)
+        else:
             monkeypatch.setattr(spectral, "openblas_symbol", lambda name: None)
+            mat, work = np.array([[1.0, np.inf], [np.inf, 1.0]]), None
         with np.errstate(invalid="ignore"), pytest.raises(DiagonalizationError):
-            diagonalize(np.array([[1.0, np.inf], [np.inf, 1.0]]))
+            diagonalize(mat, work)
 
 
 # The in-place LAPACK solve must give numpy's eigh bit for bit: member H of a
@@ -97,6 +111,17 @@ def test_lapack_solve_is_numpy_eigh_bit_for_bit(case):
     assert np.array_equal(w, w_ref) and np.array_equal(u, u_ref)
     assert u.flags.c_contiguous  # the layout downstream sums see, as eigh's
     assert np.shares_memory(u, solved)  # u overwrites the matrix
+
+
+@needs_lapack
+@pytest.mark.parametrize("case", ["member-12-6-1-2", "rotated-8-4-2-3", "d-2"])
+def test_a_longer_workspace_changes_no_bit(case):
+    # every step still receives the queried length, so dormtr blocks as in eigh
+    mat = _EIGH_CASES[case]()
+    work = np.full(spectral.diagonalize_work(len(mat)) + 4099, np.nan)
+    w, u = diagonalize(mat.copy(), work)
+    w_ref, u_ref = np.linalg.eigh(mat)
+    assert np.array_equal(w, w_ref) and np.array_equal(u, u_ref)
 
 
 @needs_lapack
