@@ -29,9 +29,11 @@ contract (a failed member adds zeros), which makes the final numbers
 byte-identical for any worker count.
 
 A process that runs members allocates one member arena, on its first member:
-H's d x d matrix and one flat work area, which holds the eigensolve's
-workspace and, before and after the solve, every other large array of a
-member.  Members reuse it, so after the first they allocate nothing d x d.
+H's memory, which holds the draw embedded into it, then H, its eigenvectors
+and W, and one flat work area, which holds the eigensolve's workspace and,
+before and after the solve, every other large array of a member; the
+function that allocates them also places every array in them.  Members reuse
+the arena, so after the first they allocate nothing d x d.
 run_ensemble drops the caller's arena before it returns, and returns the
 caller's free heap to the system (glibc malloc_trim) before a pool forks.
 """
@@ -130,28 +132,38 @@ class MemberSpectra(NamedTuple):
 
 
 class _Arena(NamedTuple):
-    h: np.ndarray  # d x d: H, then its eigenvectors u, then W = u * u
+    h: np.ndarray  # flat: the drawn matrix embedded into H, then H, its eigenvectors u and W
     work: np.ndarray  # flat: every other large array of a member
+    rot: int  # where C^T g1 (t = 1) or U0^T V (t >= 2) starts in work
+    embed: int  # where the rank-k embedding's buffers start in work
 
 
 @functools.lru_cache(maxsize=1)
 def _member_arena(N: int, m: int, t: int, k: int) -> _Arena:
-    """This process's member arena, its work sized by the largest stage.
+    """This process's member arena, the one place a member's arrays are sized and placed.
 
+    A drawn coefficient matrix lies in the memory its embedding is written to,
+    and an array not placed here starts its buffer.  t = 1: the compound
+    steps, which leave C at the start of work; g1 in H's memory and C^T g1
+    after C; v' = C^T g1 C over g1, then the embedding's buffers.  t >= 2: g0
+    in H's memory, then its embedding's buffers; after the H0 solve, V with g1
+    in its memory, the embedding's buffers after both, then U0^T V after V.
     The solve's workspace and, after the solve, the accumulators' scratch.
-    Before it, for t = 1: the compound matrix; then C, g1 and C^T g1 (v' goes
-    into g1's slot, and the embedding's work starts at C^T g1's); for t >= 2:
-    H0's draw and embedding work, then V, the rank-k draw and its embedding
-    work, then V and U0^T V.
     """
     d, dt, dk = (math.comb(N, r) for r in (m, t, k))
     if t == 1:
-        stage = max(fock.compound_work(N, k), 2 * dk * dk + fock.embed_work(dk))
+        drawn, rot, embed = dk, dk * dk, 0
+        stages = (fock.compound_work(N, k), 2 * dk * dk, fock.embed_work(dk))
     else:
-        stage = max(dt * dt + fock.embed_work(dt), d * d + dk * dk + fock.embed_work(dk),
-                    2 * d * d)
-    size = max(spectral.diagonalize_work(d), spectral.chaos_work(d * d), stage)
-    return _Arena(np.empty((d, d)), np.empty(size))
+        drawn, rot, embed = dt, d * d, max(d * d, dk * dk)
+        stages = (fock.embed_work(dt), embed + fock.embed_work(dk), 2 * d * d)
+    work = max(spectral.diagonalize_work(d), spectral.chaos_work(d * d), *stages)
+    return _Arena(np.empty(max(d * d, drawn * drawn)), np.empty(work), rot, embed)
+
+
+def _square(buf: np.ndarray, start: int, n: int) -> np.ndarray:
+    """The n x n C-order view of the flat buf from buf[start]."""
+    return buf[start:start + n * n].reshape(n, n)
 
 
 def member_spectra(cfg: RunConfig, member: int) -> MemberSpectra:
@@ -165,38 +177,38 @@ def member_spectra(cfg: RunConfig, member: int) -> MemberSpectra:
     """
     e0, h = _member_hamiltonian(cfg, member)
     e, u = spectral.diagonalize(h, _member_arena(cfg.N, cfg.m, cfg.t, cfg.k).work)
-    return MemberSpectra(e0, e, spectral.overlaps(u, u))  # W overwrites u
+    return MemberSpectra(e0, e, spectral.overlaps(u))  # W overwrites u
 
 
 def _member_hamiltonian(cfg: RunConfig, member: int) -> tuple[np.ndarray, np.ndarray]:
     """(E0, H): the H0 eigenvalues and H = diag(E0) + lam V' in the H0 eigenbasis.
 
-    Every d x d and C(N, k)^2 array is laid out in the member arena, and H is
-    its matrix.
+    Every d x d and C(N, k)^2 array lies in the member arena, where
+    _member_arena places it, and H is a view of its H memory.
     """
     basis_m = fock.build_basis(cfg.N, cfg.m)
     basis_t = fock.build_basis(cfg.N, cfg.t)
     basis_k = fock.build_basis(cfg.N, cfg.k)
-    h, work = _member_arena(cfg.N, cfg.m, cfg.t, cfg.k)
+    h_mem, work, rot_at, embed_at = _member_arena(cfg.N, cfg.m, cfg.t, cfg.k)
     d, dt, dk = basis_m.dim, basis_t.dim, basis_k.dim
+    h = _square(h_mem, 0, d)
     if cfg.t == 1:
         eps, orb = np.linalg.eigh(fock.sample_goe(dt, cfg.seed, member, 0))
         e0 = basis_m.occupations @ eps
-        c = fock.compound_matrix(orb, cfg.k, work)  # the first C(N, k)^2 of work
-        _, g1, rot = fock.carve(work, 0, (dk, dk), (dk, dk), (dk, dk))
+        c = fock.compound_matrix(orb, cfg.k, work)
+        g1, rot = _square(h_mem, 0, dk), _square(work, rot_at, dk)
         fock.sample_goe(dk, cfg.seed, member, 1, g1)
         np.matmul(c.T, g1, out=rot)
         np.matmul(rot, c, out=g1)  # v' = C^T g1 C
-        fock.embed_k_body(g1, basis_m, basis_k, h, work[2 * dk * dk:])
+        fock.embed_k_body(g1, basis_m, basis_k, h, work[embed_at:])
     else:  # g1 is drawn after the H0 solve, which then holds only H0's arrays
-        (g0,) = fock.carve(work, 0, (dt, dt))
+        g0 = _square(h_mem, 0, dt)
         fock.sample_goe(dt, cfg.seed, member, 0, g0)
-        fock.embed_k_body(g0, basis_m, basis_t, h, work[dt * dt:])
+        fock.embed_k_body(g0, basis_m, basis_t, h, work)
         e0, u0 = spectral.diagonalize(h, work)  # u0 overwrites h
-        v, g1 = fock.carve(work, 0, (d, d), (dk, dk))
+        v, g1, rot = _square(work, 0, d), _square(work, 0, dk), _square(work, rot_at, d)
         fock.sample_goe(dk, cfg.seed, member, 1, g1)
-        fock.embed_k_body(g1, basis_m, basis_k, v, work[d * d + dk * dk:])
-        (rot,) = fock.carve(work, d * d, (d, d))
+        fock.embed_k_body(g1, basis_m, basis_k, v, work[embed_at:])
         np.matmul(u0.T, v, out=rot)
         np.matmul(rot, u0, out=v)  # V' = U0^T V U0
         np.copyto(h, v)

@@ -48,11 +48,8 @@ __all__ = [
     "build_basis",
     "sample_goe",
     "embedding_plan",
-    "embed_work",
     "embed_k_body",
     "compound_plan",
-    "carve",
-    "compound_work",
     "compound_matrix",
 ]
 
@@ -212,7 +209,7 @@ def mirror_upper(a: np.ndarray) -> None:
         a[hi:, lo:hi] = a[lo:hi, hi:].T
 
 
-def carve(work: np.ndarray, start: int, *shapes: tuple[int, int]) -> list[np.ndarray]:
+def _carve(work: np.ndarray, start: int, *shapes: tuple[int, int]) -> list[np.ndarray]:
     """Consecutive C-order views of the given shapes in the flat work, from work[start]."""
     views = []
     for rows, cols in shapes:
@@ -236,7 +233,8 @@ def embed_k_body(coeffs: np.ndarray, basis_m: FockBasis, basis_r: FockBasis,
     written into out (a new array if None).  The signed vector and one chunk
     of gathered terms and their intp indices lie in the flat work of
     embed_work(basis_r.dim) doubles (a new one if None), which must not
-    overlap coeffs; the signed vector is complete before out is written.  Each
+    overlap coeffs; the signed vector is complete before out is written, so
+    coeffs may lie in out's memory.  Each
     upper-triangle entry adds its terms in plan order, one chunk of terms at a
     time, and the lower triangle is mirrored in place.
     """
@@ -306,13 +304,13 @@ def compound_work(n_orb: int, r: int) -> int:
     return need
 
 
-def compound_matrix(o: np.ndarray, r: int, work: np.ndarray | None = None) -> np.ndarray:
+def compound_matrix(o: np.ndarray, r: int, work: np.ndarray) -> np.ndarray:
     """r-th compound C_r(O)[I, J] = det O[I, J] over the rank-r basis order.
 
     Each rank comes from the one below by expanding along the first row of
     O[I, J]: det O[I, J] = sum_p (-1)^p O[i_1, j_p] det O[I - i_1, J - j_p].
-    Every array lies in the flat work of compound_work(len(o), r) doubles (a new
-    one if None).  C_r^T is built in C order in the first D^2, so C_r comes
+    Every array lies in the flat work of at least compound_work(len(o), r)
+    doubles.  C_r^T is built in C order in the first D^2, so C_r comes
     back in Fortran order, the layout the products it enters are computed for:
     a step gathers the columns of C_{r-1} it expands, after which C_r^T
     overwrites C_{r-1}^T one block of _COMPOUND_ROWS rows (columns J of C_r)
@@ -324,19 +322,17 @@ def compound_matrix(o: np.ndarray, r: int, work: np.ndarray | None = None) -> np
         raise ValueError("orbital matrix must be square")
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= {n}, got {r}")
-    if work is None:
-        work = np.empty(compound_work(n, r))
-    (ct,) = carve(work, 0, (n, n))
+    (ct,) = _carve(work, 0, (n, n))
     ct[...] = o.T
     for s in range(2, r + 1):
         plan = compound_plan(n, s)
         ds, dp, blk = len(plan.orbs), len(ct), min(len(plan.orbs), _COMPOUND_ROWS)
         # above both C_{r-1}^T and C_r^T, which overwrites it once sub is gathered
-        sub, lead, term, factor = carve(work, max(ds, dp) ** 2, (dp, ds), (n, ds),
+        sub, lead, term, factor = _carve(work, max(ds, dp) ** 2, (dp, ds), (n, ds),
                                         (blk, ds), (blk, ds))
         np.take(ct, plan.minors[:, 0], axis=1, out=sub, mode="clip")  # mode="clip" is unbuffered
         np.take(o.T, plan.orbs[:, 0], axis=1, out=lead, mode="clip")
-        (ct,) = carve(work, 0, (ds, ds))
+        (ct,) = _carve(work, 0, (ds, ds))
         for lo in range(0, ds, blk):
             rows = ct[lo:lo + blk]
             t, f = term[: len(rows)], factor[: len(rows)]

@@ -7,15 +7,16 @@ doubly stochastic array.  The solve runs the steps LAPACK's dsyevd takes on a
 matrix it does not scale, through numpy's own LAPACK, in the member's own
 matrix, rebuilds the matrix for its residual guard from the triangle those
 steps leave intact, and returns u in the matrix's memory, so it holds three
-d x d arrays.  The workspace, W (which may overwrite u) and the accumulators'
-scratch can all be the caller's, so a caller that keeps them allocates
-nothing d x d per member.  Rows of W, selected by windows on the standardized
-H0 spectrum and binned over the standardized H spectrum, give the strength
-functions F_kappa(E).  Every accumulator keeps one contract: its grid fields
-(windows, edges) are fixed, every other field is a raw sum over members
-(weights, power sums, histograms, traces, member_count) starting at zero, and
-merge() adds two accumulators field by field, refusing different grids.  So
-partial results reduced in member order give the same numbers for any split.
+d x d arrays.  The workspace and the accumulators' scratch are the caller's,
+sized by diagonalize_work and chaos_work, and W overwrites u, so a caller
+that keeps them allocates nothing d x d per member.  Rows of W, selected by
+windows on the standardized H0 spectrum and binned over the standardized H
+spectrum, give the strength functions F_kappa(E).  Every accumulator keeps
+one contract: its grid fields (windows, edges) are fixed, every other field
+is a raw sum over members (weights, power sums, histograms, traces,
+member_count) starting at zero, and merge() adds two accumulators field by
+field, refusing different grids.  So partial results reduced in member order
+give the same numbers for any split.
 
 Moments of a strength function are always computed from the raw overlap
 weights; histograms are only for display and for the L1 comparison against the
@@ -44,10 +45,8 @@ __all__ = [
     "StrengthReport",
     "ChaosMeasures",
     "BivariateMomentAccumulator",
-    "diagonalize_work",
     "diagonalize",
     "overlaps",
-    "chaos_work",
     "standardize",
     "centroid_slope",
     "window_predictions",
@@ -93,10 +92,15 @@ def _fortran(fn, *args):
     fn(*refs, *[ctypes.c_size_t(1)] * sum(isinstance(a, bytes) for a in args))
 
 
-def _dsyevd_query(d: int, dsyevd) -> tuple[int, int]:
-    """(LWORK, LIWORK) of dsyevd('V', 'L') on a d x d matrix; the query reads neither array."""
+def _dsyevd_lengths(d: int, steps) -> tuple[int, int]:
+    """(LWORK, LIWORK) of dsyevd('V', 'L') on a d x d matrix, (0, 0) without the steps.
+
+    The query reads neither array.
+    """
+    if not steps:
+        return 0, 0
     work, iwork, info = np.empty(1), np.empty(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    _fortran(dsyevd, b"V", b"L", d, work, d, work, work, -1, iwork, -1, info)
+    _fortran(steps[0], b"V", b"L", d, work, d, work, work, -1, iwork, -1, info)
     return int(work[0]), int(iwork[0])
 
 
@@ -107,37 +111,34 @@ def _lapack_steps():
 
 
 def diagonalize_work(d: int) -> int:
-    """Doubles of work diagonalize(mat, work) uses for a d x d mat: at least d^2.
+    """Doubles of work diagonalize(mat, work) needs for a d x d mat: at least d^2.
 
     With numpy's LAPACK steps it is dsyevd's queried LWORK plus LIWORK, which
     is 2 d^2 + 11 d + 4 at every d of a reference system; the integer
     workspace follows the LWORK doubles.
     """
-    steps = _lapack_steps()
-    return max(d * d, sum(_dsyevd_query(d, steps[0])) if steps else 0)
+    return max(d * d, sum(_dsyevd_lengths(d, _lapack_steps())))
 
 
-def _dsyevd_in_place(mat, work, dsyevd, dsytrd, dstedc, dormtr):
+def _dsyevd_in_place(mat, work, iwork, dsytrd, dstedc, dormtr):
     """(w, ut, scratch): dsyevd('V', 'L') run step by step in an exactly symmetric mat.
 
     Read in Fortran order, mat's memory is mat, and its largest entry is 0 or
-    within [_RMIN, _RMAX], so dsyevd would not scale it.  The steps and the
-    splits of the queried workspace, which starts work, are then dsyevd's own,
-    and every step is passed exactly the queried length, however long work is,
-    so w and the rows of ut, the eigenvectors, are np.linalg.eigh's bit for
+    within [_RMIN, _RMAX], so dsyevd would not scale it.  work and iwork are
+    exactly dsyevd's queried LWORK doubles and LIWORK integers, so the steps,
+    the splits of work and the lengths each step is passed are dsyevd's own,
+    and w and the rows of ut, the eigenvectors, are np.linalg.eigh's bit for
     bit.  dsytrd writes only the Fortran lower (C upper) triangle, so mat is
     rebuilt from its strict lower triangle and the saved diagonal.  ut and the
-    free d x d scratch lie in the workspace.
+    free d x d scratch lie in work.
     """
     d = len(mat)
     w, info = np.empty(d), np.zeros(1, dtype=np.int64)
-    lwork, liwork = _dsyevd_query(d, dsyevd)
-    work, iwork = work[:lwork], work[lwork:lwork + liwork].view(np.int64)
     diag = mat.diagonal().copy()
     # dsyevd's INDE, INDTAU, INDWRK (the eigenvectors' d^2) and INDWK2 splits
     e, tau, z, rest = work[:d], work[d:2 * d], work[2 * d:], work[2 * d + d * d:]
     _fortran(dsytrd, b"L", d, mat, d, w, e, tau, z, len(z), info)
-    _fortran(dstedc, b"I", d, w, e, z, d, rest, len(rest), iwork, liwork, info)
+    _fortran(dstedc, b"I", d, w, e, z, d, rest, len(rest), iwork, len(iwork), info)
     if info[0] != 0:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     _fortran(dormtr, b"L", b"L", b"N", d, d, mat, d, tau, z, d, rest, len(rest), info)
@@ -146,14 +147,15 @@ def _dsyevd_in_place(mat, work, dsyevd, dsytrd, dstedc, dormtr):
     return w, z[: d * d].reshape(d, d), rest[: d * d].reshape(d, d)
 
 
-def diagonalize(mat: np.ndarray, work: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def diagonalize(mat: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and orthonormal eigenvectors of a symmetric matrix.
 
     Overwrites mat, whose lower triangle (the one LAPACK reads) is the matrix:
     the eigenvectors u come back in C order in its memory.  A C-contiguous
     writable float array is used as is, anything else is copied first.  work
-    is a flat float array of at least diagonalize_work(d) doubles (a new one if
-    None) and holds the solve's workspace and the guards' scratch; the
+    is a contiguous flat float64 array of at least diagonalize_work(d) doubles,
+    checked against the lengths of the steps this call runs (ValueError
+    otherwise), and holds the solve's workspace and the guards' scratch; the
     eigenvalues are a new array.  The solve runs LAPACK dsyevd's own steps in
     mat through numpy's LAPACK, so (w, u) are np.linalg.eigh's bit for bit; the
     steps leave mat's strict lower triangle intact, and the matrix is rebuilt
@@ -170,13 +172,17 @@ def diagonalize(mat: np.ndarray, work: np.ndarray | None = None) -> tuple[np.nda
     d = len(mat)
     if mat.shape != (d, d):
         raise np.linalg.LinAlgError(f"matrix must be square, got shape {mat.shape}")
-    if work is None:
-        work = np.empty(diagonalize_work(d))
+    steps = _lapack_steps()
+    lwork, liwork = _dsyevd_lengths(d, steps)
+    if not (work.dtype == np.float64 and work.ndim == 1 and work.flags.c_contiguous
+            and len(work) >= max(d * d, lwork + liwork)):
+        raise ValueError(f"work must be a contiguous flat float64 array of at least "
+                         f"{max(d * d, lwork + liwork)} doubles")
     mirror_upper(mat.T)  # the lower triangle into the upper one
     anrm = np.maximum(mat.max(), -mat.min())  # dsyevd's dlansy('M'); NaN propagates
-    steps = _lapack_steps()
     if d > 1 and steps and (anrm == 0.0 or _RMIN <= anrm <= _RMAX):
-        w, ut, r = _dsyevd_in_place(mat, work, *steps)
+        iwork = work[lwork:lwork + liwork].view(np.int64)
+        w, ut, r = _dsyevd_in_place(mat, work[:lwork], iwork, *steps[1:])
     else:
         w, u = np.linalg.eigh(mat)
         ut, r = u.T, work[: d * d].reshape(d, d)
@@ -197,8 +203,8 @@ def diagonalize(mat: np.ndarray, work: np.ndarray | None = None) -> tuple[np.nda
     return w, u
 
 
-def overlaps(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Squared-overlap matrix W[kappa, E] = |<kappa|E>|^2, written into out (may be u).
+def overlaps(u: np.ndarray) -> np.ndarray:
+    """Squared-overlap matrix W[kappa, E] = |<kappa|E>|^2, written over u.
 
     u holds the eigenvectors |E> as columns, written in the basis of the
     unperturbed states |kappa>, so W = u * u elementwise.  Both row sums (fixed
@@ -207,7 +213,7 @@ def overlaps(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"eigenvector matrix must be square, got shape {u.shape}")
-    wsq = np.multiply(u, u, out=out)
+    wsq = np.multiply(u, u, out=u)
     dev = max(
         float(np.max(np.abs(wsq.sum(axis=0) - 1.0))),
         float(np.max(np.abs(wsq.sum(axis=1) - 1.0))),
@@ -290,14 +296,14 @@ class StrengthReport(_Sums):
     # -- accumulation ------------------------------------------------------
 
     def add_member(self, e0_hat: np.ndarray, e_hat: np.ndarray, overlap_sq: np.ndarray,
-                   work: np.ndarray | None = None) -> None:
+                   work: np.ndarray) -> None:
         """Add one member; a window's rows of W are gathered into the flat float
-        work of W.size doubles (a new array per window if None)."""
+        work of at least W.size doubles."""
         powers = np.array([e_hat, e_hat**2, e_hat**3, e_hat**4])
         for i, (lo, hi) in enumerate(self.windows):
             sel = (e0_hat >= lo) & (e0_hat < hi)
             rows = np.flatnonzero(sel)
-            out = None if work is None else work[: rows.size * len(e_hat)].reshape(-1, len(e_hat))
+            out = work[: rows.size * len(e_hat)].reshape(-1, len(e_hat))
             w = overlap_sq.take(rows, axis=0, out=out, mode="clip").sum(axis=0)
             self.n_kappa[i] += int(np.count_nonzero(sel))
             self.weight[i] += float(w.sum())
@@ -421,13 +427,10 @@ class ChaosMeasures(_Sums):
     ipr_sum: np.ndarray = _sum("bin")
     ent_sum: np.ndarray = _sum("bin")
 
-    def add_member(self, e_hat: np.ndarray, overlap_sq: np.ndarray,
-                   work: np.ndarray | None = None) -> None:
+    def add_member(self, e_hat: np.ndarray, overlap_sq: np.ndarray, work: np.ndarray) -> None:
         """Bin one member; its scratch, W^2 and then W ln W, and W > 0 as a
-        mask lie in the flat float work of chaos_work(W.size) doubles (a new one if None)."""
+        mask lie in the flat float work of at least chaos_work(W.size) doubles."""
         d2 = overlap_sq.size
-        if work is None:
-            work = np.empty(chaos_work(d2))
         terms = work[:d2].reshape(overlap_sq.shape)
         positive = work[d2:].view(bool)[:d2].reshape(overlap_sq.shape)
         ipr = np.sum(np.square(overlap_sq, out=terms), axis=0)

@@ -327,6 +327,11 @@ def test_occupations_match_bitmasks():
 # compound matrices
 
 
+def _compound(o, r):
+    """compound_matrix with a work area of the length it asks for."""
+    return compound_matrix(o, r, np.empty(compound_work(len(o), r)))
+
+
 def _orthogonal(n: int, seed: int) -> np.ndarray:
     q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
     return q
@@ -341,20 +346,20 @@ def test_compound_matches_subdeterminants(n_orb, r):
     a = np.random.default_rng(n_orb * 10 + r).standard_normal((n_orb, n_orb))
     subs = _subsets(n_orb, r)
     want = np.array([[np.linalg.det(a[np.ix_(i, j)]) for j in subs] for i in subs])
-    np.testing.assert_allclose(compound_matrix(a, r), want, atol=1e-12)
+    np.testing.assert_allclose(_compound(a, r), want, atol=1e-12)
 
 
 @pytest.mark.parametrize("n_orb", [6, 7, 8])
 def test_first_compound_is_the_matrix(n_orb):
     o = _orthogonal(n_orb, n_orb)
-    np.testing.assert_array_equal(compound_matrix(o, 1), o)
+    np.testing.assert_array_equal(_compound(o, 1), o)
 
 
 @pytest.mark.parametrize("n_orb", [6, 7, 8])
 def test_compound_of_orthogonal_is_orthogonal(n_orb):
     o = _orthogonal(n_orb, 100 + n_orb)
     for r in range(1, n_orb + 1):
-        c = compound_matrix(o, r)
+        c = _compound(o, r)
         assert c.shape == (math.comb(n_orb, r),) * 2
         assert np.max(np.abs(c.T @ c - np.eye(len(c)))) <= 1e-13
 
@@ -365,8 +370,8 @@ def test_compound_is_multiplicative(n_orb):
     a = rng.standard_normal((n_orb, n_orb))
     b = rng.standard_normal((n_orb, n_orb))
     for r in range(1, n_orb + 1):
-        want = compound_matrix(a @ b, r)
-        got = compound_matrix(a, r) @ compound_matrix(b, r)
+        want = _compound(a @ b, r)
+        got = _compound(a, r) @ _compound(b, r)
         np.testing.assert_allclose(got, want, atol=1e-11 * np.max(np.abs(want)))
 
 
@@ -377,7 +382,7 @@ def test_compound_rotation_commutes_with_embedding(n_orb, m, k):
     basis_m, basis_k = build_basis(n_orb, m), build_basis(n_orb, k)
     o = _orthogonal(n_orb, 10 * n_orb + k)
     v = sample_goe(basis_k.dim, 31, k)
-    ck, cm = compound_matrix(o, k), compound_matrix(o, m)
+    ck, cm = _compound(o, k), _compound(o, m)
     got = embed_k_body(ck.T @ v @ ck, basis_m, basis_k)
     want = cm.T @ embed_k_body(v, basis_m, basis_k) @ cm
     np.testing.assert_allclose(got, want, atol=1e-12)
@@ -390,7 +395,7 @@ def test_caller_buffers_change_no_bit(n_orb, m, r):
     dr, o = basis_r.dim, _orthogonal(n_orb, 5)
     work = np.full(compound_work(n_orb, r) + dr * dr + embed_work(dr), np.nan)
     c = compound_matrix(o, r, work)
-    np.testing.assert_array_equal(c, compound_matrix(o, r))
+    np.testing.assert_array_equal(c, _compound(o, r))
     # Fortran order: C_k^T g C_k is computed for it, and its bits depend on it
     assert c.flags.f_contiguous
     g = sample_goe(dr, 7, 2, 1, work[:dr * dr].reshape(dr, dr))
@@ -398,6 +403,19 @@ def test_caller_buffers_change_no_bit(n_orb, m, r):
     out = np.full((basis_m.dim, basis_m.dim), np.nan)
     embed_k_body(g, basis_m, basis_r, out, work[dr * dr:])
     np.testing.assert_array_equal(out, embed_k_body(g, basis_m, basis_r))
+
+
+@pytest.mark.parametrize("n_orb, m, r", [(8, 4, 3), (8, 6, 4)], ids=["C(8,3) < d", "C(8,4) > d"])
+def test_coefficients_may_lie_in_the_output_memory(n_orb, m, r):
+    # a member draws each rank-r matrix in the memory its embedding is written to
+    basis_m, basis_r = build_basis(n_orb, m), build_basis(n_orb, r)
+    d, dr = basis_m.dim, basis_r.dim
+    want = embed_k_body(sample_goe(dr, 3, 0, 1), basis_m, basis_r)
+    mem = np.full(max(d, dr) ** 2, np.nan)
+    g = sample_goe(dr, 3, 0, 1, mem[:dr * dr].reshape(dr, dr))
+    out = mem[:d * d].reshape(d, d)
+    embed_k_body(g, basis_m, basis_r, out, np.full(embed_work(dr), np.nan))
+    np.testing.assert_array_equal(out, want)
 
 
 def test_compound_plans_are_shared_and_read_only():
@@ -410,10 +428,10 @@ def test_compound_plans_are_shared_and_read_only():
 
 def test_compound_rejects_bad_input():
     with pytest.raises(ValueError):
-        compound_matrix(np.zeros((3, 4)), 2)
+        _compound(np.zeros((3, 4)), 2)
     with pytest.raises(ValueError):
-        compound_matrix(np.eye(4), 5)
+        _compound(np.eye(4), 5)
     with pytest.raises(ValueError):
-        compound_matrix(np.eye(4), 0)
+        _compound(np.eye(4), 0)
     with pytest.raises(ValueError):
         compound_plan(4, 1)

@@ -29,9 +29,14 @@ from qstrength.spectral import (
 # eigen-helpers
 
 
+def _solve(mat):
+    """diagonalize with a workspace of the length it asks for."""
+    return diagonalize(mat, np.empty(spectral.diagonalize_work(len(mat))))
+
+
 class TestDiagonalize:
     def test_known_two_by_two(self):
-        w, u = diagonalize(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        w, u = _solve(np.array([[0.0, 1.0], [1.0, 0.0]]))
         np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-15)
         np.testing.assert_allclose(np.abs(u), np.full((2, 2), 1 / math.sqrt(2)), atol=1e-15)
 
@@ -39,7 +44,7 @@ class TestDiagonalize:
         rng = np.random.default_rng(5)
         a = rng.standard_normal((40, 40))
         a = a + a.T
-        w, u = diagonalize(a.copy())
+        w, u = _solve(a.copy())
         assert np.all(np.diff(w) >= 0)
         np.testing.assert_allclose(u @ np.diag(w) @ u.T, a, atol=1e-10)
 
@@ -48,14 +53,14 @@ class TestDiagonalize:
         a = rng.standard_normal((12, 12))
         monkeypatch.setattr(spectral, "_RESIDUAL_TOL", 1e-300)
         with pytest.raises(DiagonalizationError, match="residual"):
-            diagonalize(a + a.T)
+            _solve(a + a.T)
 
     def test_orthonormality_guard_trips(self, monkeypatch):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((12, 12))
         monkeypatch.setattr(spectral, "_ORTHONORMAL_TOL", 1e-300)
         with pytest.raises(DiagonalizationError, match="orthonormal"):
-            diagonalize(a + a.T)
+            _solve(a + a.T)
 
 
     @pytest.mark.parametrize("lapack", [True, False], ids=["dsyevd", "eigh"])
@@ -75,7 +80,7 @@ class TestDiagonalize:
             mat, work = a + a.T, np.empty(spectral.diagonalize_work(12) + 100)
         else:
             monkeypatch.setattr(spectral, "openblas_symbol", lambda name: None)
-            mat, work = np.array([[1.0, np.inf], [np.inf, 1.0]]), None
+            mat, work = np.array([[1.0, np.inf], [np.inf, 1.0]]), np.empty(4)
         with np.errstate(invalid="ignore"), pytest.raises(DiagonalizationError):
             diagonalize(mat, work)
 
@@ -106,7 +111,7 @@ needs_lapack = pytest.mark.skipif(None in _LAPACK,
 def test_lapack_solve_is_numpy_eigh_bit_for_bit(case):
     mat = _EIGH_CASES[case]()
     solved = mat.copy()
-    w, u = diagonalize(solved)
+    w, u = _solve(solved)
     w_ref, u_ref = np.linalg.eigh(mat)
     assert np.array_equal(w, w_ref) and np.array_equal(u, u_ref)
     assert u.flags.c_contiguous  # the layout downstream sums see, as eigh's
@@ -124,13 +129,26 @@ def test_a_longer_workspace_changes_no_bit(case):
     assert np.array_equal(w, w_ref) and np.array_equal(u, u_ref)
 
 
+@pytest.mark.parametrize("case", ["member-12-6-1-2", "d-2", "d-1"])
+@pytest.mark.parametrize("bad", ["one-double-short", "float32", "strided"])
+def test_a_workspace_diagonalize_cannot_use_is_refused(case, bad):
+    # LAPACK would write past a short workspace, or read a wrong one as doubles
+    mat = _EIGH_CASES[case]()
+    n = spectral.diagonalize_work(len(mat))
+    work = {"one-double-short": lambda: np.full(n - 1, np.nan),
+            "float32": lambda: np.full(n, np.nan, dtype=np.float32),
+            "strided": lambda: np.full(2 * n, np.nan)[::2]}[bad]()
+    with pytest.raises(ValueError, match="work"):
+        diagonalize(mat.copy(), work)
+
+
 @needs_lapack
 @pytest.mark.parametrize("case", ["member-12-6-1-2", "rotated-8-4-2-3", "d-1"])
 def test_eigh_fallback_matches_the_lapack_solve(monkeypatch, case):
     mat = _EIGH_CASES[case]()
-    w, u = diagonalize(mat.copy())
+    w, u = _solve(mat.copy())
     monkeypatch.setattr(spectral, "openblas_symbol", lambda name: None)
-    w_ref, u_ref = diagonalize(mat.copy())
+    w_ref, u_ref = _solve(mat.copy())
     assert np.array_equal(w, w_ref) and np.array_equal(u, u_ref)
 
 
@@ -148,20 +166,20 @@ def no_in_place_steps(monkeypatch):
 @pytest.mark.parametrize("case", ["member-12-6-1-2-x1e-150", "member-12-6-1-2-x1e150"])
 def test_matrices_dsyevd_would_scale_go_to_eigh(no_in_place_steps, case):
     mat = _EIGH_CASES[case]()
-    w, u = diagonalize(mat.copy())
+    w, u = _solve(mat.copy())
     w_ref, u_ref = np.linalg.eigh(mat)
     assert np.array_equal(w, w_ref) and np.array_equal(u, u_ref)
 
 
 def test_non_finite_matrix_goes_to_eigh(no_in_place_steps):
     with np.errstate(invalid="ignore"), pytest.raises(DiagonalizationError):
-        diagonalize(np.array([[1.0, np.inf], [np.inf, 1.0]]))
+        _solve(np.array([[1.0, np.inf], [np.inf, 1.0]]))
 
 
 @needs_lapack
 def test_in_range_member_runs_the_in_place_steps(no_in_place_steps):
     with pytest.raises(AssertionError, match="in-place"):
-        diagonalize(_EIGH_CASES["member-12-6-1-2"]())
+        _solve(_EIGH_CASES["member-12-6-1-2"]())
 
 
 def test_dsyevd_resolves_wherever_the_thread_setter_does():
@@ -174,15 +192,15 @@ class TestOverlaps:
     def test_identical_bases_give_identity(self):
         rng = np.random.default_rng(9)
         a = rng.standard_normal((15, 15))
-        _, u = diagonalize(a + a.T)
+        _, u = _solve(a + a.T)
         np.testing.assert_allclose(overlaps(u.T @ u), np.eye(15), atol=1e-12)
 
     def test_doubly_stochastic(self):
         rng = np.random.default_rng(10)
         a = rng.standard_normal((30, 30))
         b = rng.standard_normal((30, 30))
-        _, u0 = diagonalize(a + a.T)
-        _, u1 = diagonalize(b + b.T)
+        _, u0 = _solve(a + a.T)
+        _, u1 = _solve(b + b.T)
         wsq = overlaps(u0.T @ u1)
         np.testing.assert_allclose(wsq.sum(axis=0), 1.0, atol=1e-10)
         np.testing.assert_allclose(wsq.sum(axis=1), 1.0, atol=1e-10)
@@ -223,6 +241,8 @@ class TestStandardize:
 
 WINDOWS = np.array([[-0.5, 0.5], [1.0, 2.0]])
 EDGES = np.linspace(-4.0, 4.0, 17)
+# scratch of either accumulator's add_member, for every W below (at most 64 x 64)
+WORK = np.empty(spectral.chaos_work(64 * 64))
 
 
 def _toy_member(seed):
@@ -232,9 +252,9 @@ def _toy_member(seed):
     e0 = standardize(rng.standard_normal(n))
     e1 = standardize(rng.standard_normal(n))
     a = rng.standard_normal((n, n))
-    _, u0 = diagonalize(a + a.T)
+    _, u0 = _solve(a + a.T)
     b = rng.standard_normal((n, n))
-    _, u1 = diagonalize(b + b.T)
+    _, u1 = _solve(b + b.T)
     return e0, e1, overlaps(u0.T @ u1)
 
 
@@ -250,7 +270,7 @@ class TestStrengthReport:
                 [0.1, 0.1, 0.8],
             ]
         )
-        rep.add_member(e0, e1, wsq)
+        rep.add_member(e0, e1, wsq, WORK)
         w = np.array([0.8, 0.6, 0.6])  # column sums over the two in-window rows
         mom = rep.window_moments()
         m1 = np.sum(w * e1) / w.sum()
@@ -267,8 +287,8 @@ class TestStrengthReport:
         second = StrengthReport(WINDOWS, EDGES)
         for seed in range(6):
             e0, e1, wsq = _toy_member(seed)
-            full.add_member(e0, e1, wsq)
-            (first if seed < 3 else second).add_member(e0, e1, wsq)
+            full.add_member(e0, e1, wsq, WORK)
+            (first if seed < 3 else second).add_member(e0, e1, wsq, WORK)
         merged = first.merge(second)
         assert merged.member_count == full.member_count
         np.testing.assert_allclose(merged.power_sums, full.power_sums, rtol=1e-12)
@@ -284,14 +304,14 @@ class TestStrengthReport:
     def test_empty_window_yields_nan(self):
         rep = StrengthReport(np.array([[5.0, 6.0]]), EDGES)
         e0, e1, wsq = _toy_member(0)
-        rep.add_member(e0, e1, wsq)
+        rep.add_member(e0, e1, wsq, WORK)
         assert math.isnan(rep.e0_mean[0])
         assert math.isnan(rep.window_moments()["mean"][0])
 
     def test_f_values_normalized(self):
         rep = StrengthReport(WINDOWS, EDGES)
         for seed in range(4):
-            rep.add_member(*_toy_member(seed))
+            rep.add_member(*_toy_member(seed), WORK)
         widths = np.diff(rep.edges)
         integrals = (rep.f_values() * widths).sum(axis=1)
         # toy spectra lie well inside the grid, so no probability is clipped
@@ -303,13 +323,13 @@ class TestStrengthReport:
         e0 = centers.copy()
         e1 = 0.7 * centers  # exact strength centroids at slope 0.7
         wsq = np.eye(5)
-        rep.add_member(e0, e1, wsq)
+        rep.add_member(e0, e1, wsq, WORK)
         assert centroid_slope(rep) == pytest.approx(0.7, rel=1e-12)
         assert centroid_slope(rep, e0_max=1.5) == pytest.approx(0.7, rel=1e-12)
 
     def test_centroid_slope_needs_off_center_windows(self):
         rep = StrengthReport(np.array([[-0.5, 0.5]]), EDGES)
-        rep.add_member(*_toy_member(1))
+        rep.add_member(*_toy_member(1), WORK)
         with pytest.raises(ValueError, match="off-center"):
             centroid_slope(rep, e0_max=0.0)
 
@@ -322,7 +342,7 @@ class TestPredictionHelpers:
         rep = StrengthReport(np.array([[-1.05, -0.95], [0.95, 1.05]]), EDGES)
         e0 = np.array([-1.0, 1.0])
         e1 = np.array([-0.7, 0.7])
-        rep.add_member(e0, e1, np.eye(2))
+        rep.add_member(e0, e1, np.eye(2), WORK)
         pred = window_predictions(rep, self.qs, 6, 1, 2)
         xi = self.qs.xi
         np.testing.assert_allclose(pred["centroid"], [-xi, xi], rtol=1e-12)
@@ -338,16 +358,14 @@ class TestPredictionHelpers:
         centers_x = 0.5 * (edges[:-1] + edges[1:])
         dens = f_cqn(centers_x, 0.0, self.qs.xi, self.qs.q_hv)
         weights = dens * np.diff(edges)
-        rep.add_member(
-            np.zeros(1), centers_x, weights.reshape(1, -1)
-        )
+        rep.add_member(np.zeros(1), centers_x, weights.reshape(1, -1), WORK)
         l1 = strength_l1(rep, self.qs)
         assert l1[0] < 5e-3
 
     def test_strength_l1_matches_the_per_window_sums(self):
         # the last window lies beyond the toy spectra, so its row is nan
         rep = StrengthReport(np.array([[-1.0, 0.0], [0.0, 1.0], [5.0, 6.0]]), EDGES)
-        rep.add_member(*_toy_member(2))
+        rep.add_member(*_toy_member(2), WORK)
         f_emp, bench = rep.f_values(), predicted_f_values(rep, self.qs)
         want = [float(np.sum(np.abs(f_emp[i] - bench[i]) * np.diff(EDGES))) for i in range(2)]
         np.testing.assert_array_equal(strength_l1(rep, self.qs), want + [np.nan])
@@ -357,7 +375,7 @@ class TestPredictionHelpers:
         rep = StrengthReport(np.array([[-0.05, 0.05]]), edges)
         centers_x = 0.5 * (edges[:-1] + edges[1:])
         wrong = np.exp(-0.5 * (centers_x / 0.3) ** 2)  # far too narrow
-        rep.add_member(np.zeros(1), centers_x, (wrong / wrong.sum()).reshape(1, -1))
+        rep.add_member(np.zeros(1), centers_x, (wrong / wrong.sum()).reshape(1, -1), WORK)
         assert strength_l1(rep, self.qs)[0] > 0.5
 
 
@@ -369,14 +387,14 @@ class TestChaosMeasures:
     def test_uniform_overlaps_give_full_mixing(self):
         n = 50
         cm = ChaosMeasures(np.array([-1.0, 1.0]))
-        cm.add_member(np.zeros(n), np.full((n, n), 1.0 / n))
+        cm.add_member(np.zeros(n), np.full((n, n), 1.0 / n), WORK)
         assert cm.npc()[0] == pytest.approx(n, rel=1e-12)
         assert cm.s_info()[0] == pytest.approx(math.log(n), rel=1e-12)
 
     def test_delta_overlaps_are_exactly_unmixed(self):
         n = 12
         cm = ChaosMeasures(np.array([-1.0, 1.0]))
-        cm.add_member(np.zeros(n), np.eye(n))
+        cm.add_member(np.zeros(n), np.eye(n), WORK)
         assert cm.npc()[0] == 1.0
         assert cm.s_info()[0] == 0.0
 
@@ -387,8 +405,8 @@ class TestChaosMeasures:
         b = ChaosMeasures(edges)
         for seed in range(4):
             e0, e1, wsq = _toy_member(seed + 20)
-            full.add_member(e1, wsq)
-            (a if seed % 2 else b).add_member(e1, wsq)
+            full.add_member(e1, wsq, WORK)
+            (a if seed % 2 else b).add_member(e1, wsq, WORK)
         merged = a.merge(b)
         np.testing.assert_allclose(merged.ipr_sum, full.ipr_sum, rtol=1e-12)
         np.testing.assert_allclose(merged.count, full.count, rtol=1e-12)
@@ -397,7 +415,7 @@ class TestChaosMeasures:
 
     def test_empty_bins_are_nan(self):
         cm = ChaosMeasures(np.array([-2.0, -1.0, 1.0, 2.0]))
-        cm.add_member(np.zeros(4), np.eye(4))
+        cm.add_member(np.zeros(4), np.eye(4), WORK)
         assert math.isnan(cm.npc()[0])
         assert cm.npc()[1] == 1.0
 
