@@ -269,8 +269,8 @@ def run_ensemble(cfg: RunConfig) -> EnsembleResult:
     Before a pool forks, the caller's free heap goes back to the system, so
     the workers do not inherit it.
     """
-    # Build the embedding and compound tables up front so forked workers
-    # inherit them (RunConfig has built the basis already).
+    # Build the embedding and compound tables (under 1 MB each) up front so
+    # forked workers inherit them (RunConfig has built the basis already).
     fock.embedding_plan(cfg.N, cfg.m, cfg.k)
     if cfg.t == 1:
         for rank in range(2, cfg.k + 1):

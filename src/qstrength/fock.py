@@ -10,23 +10,23 @@ spectator part.  The anticommutation phase for pulling an active set out of a
 determinant is the parity of the number of (active, spectator) orbital pairs
 in crossing order.
 
-Embedding all pairs naively is slow, so the decomposition is precomputed once
-per (n_orb, m, r) as a "plan": the position mu*dim + nu of each upper-triangle
-pair (mu <= nu) a spectator set links, and the index of its coefficient in the
-signed vector [u, -u], u the upper triangle of the symmetrized coefficients
-row by row, in the negated half when the phase product is -1.  Both are int32
-while they fit.  Embedding a coefficient matrix is then a chunked gather and
-in-order accumulation into the upper triangle and an in-place mirror, so its
-memory is the output plus the signed vector.  Bases and plans are made once
-per shape (functools.lru_cache), returned read-only, and shared by every
-ensemble member.
+Every embedding follows from small tables per (n_orb, m, r): for each
+spectator set and each of its active sets, the m-particle index mu of the
+determinant they make and the rank-r index act of the active set, with those
+rows sorted by mu.  The crossing phase factors into a sign tau of the active
+determinant and a sign kappa of the active orbitals' places among the free
+orbitals.  An embedding gathers the tau-signed symmetric part of w over
+spectator block rows, applies the kappa product and adds the terms at
+(mu_i, mu_j), so it needs the output, that signed part and step buffers.
+Bases and tables are made once per shape (functools.lru_cache), returned
+read-only, and shared by every ensemble member.
 
 An orthogonal change of orbitals, new orbital j = sum_i O[i, j] (old orbital
 i), acts on rank-r determinants through the r-th compound matrix
 C_r(O)[I, J] = det O[I, J] (Cauchy-Binet), so a rank-r coefficient matrix w
 becomes C_r(O)^T w C_r(O) in the rotated orbitals.  compound_matrix builds it
 by first-row Laplace expansion from C_{r-1}, with per-(n_orb, r) index tables
-cached like the embedding plans.
+cached like the embedding tables.
 
 Defining matrices are drawn from the Gaussian orthogonal ensemble with
 off-diagonal variance 1 and diagonal variance 2, deterministically seeded per
@@ -55,6 +55,7 @@ __all__ = [
 
 BASIS_DIM_CAP = 200_000
 _MAX_ORBITALS = 64
+_GOE_ROWS = 16  # row block of the GOE symmetrization
 
 
 @dataclass(frozen=True)
@@ -105,19 +106,22 @@ def sample_goe(dim: int, master_seed: int, member: int, stream: int = 0,
     The generator is seeded by (master_seed, member, stream), so any member of
     any operator stream can be regenerated in isolation, in any process.  The
     draw a is made in out (a new array if None) and replaced there by
-    (a + a^T) / sqrt(2) one row and column at a time, so the scratch is one row.
+    (a + a^T) / sqrt(2) one block of _GOE_ROWS rows and columns at a time, so
+    the scratch is two such blocks (a ufunc on strided blocks allocates buffers).
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(member, stream))
     a = np.random.default_rng(ss).standard_normal(out=np.empty((dim, dim)) if out is None else out)
-    root2, row = math.sqrt(2.0), np.empty(dim)
-    for i in range(dim):  # row i and column i from the corner on, which no earlier step wrote
-        r = row[: dim - i]
-        np.add(a[i, i:], a[i:, i], out=r)
-        r /= root2
-        a[i, i:] = r
-        a[i:, i] = r
+    root2, scratch = math.sqrt(2.0), np.empty((2, min(dim, _GOE_ROWS) * dim))
+    for lo in range(0, dim, _GOE_ROWS):  # from the corner on, which no earlier block wrote
+        hi = min(lo + _GOE_ROWS, dim)
+        b, t = (x[: (hi - lo) * (dim - lo)].reshape(hi - lo, dim - lo) for x in scratch)
+        np.copyto(b, a[lo:hi, lo:])
+        np.copyto(t, a[lo:, lo:hi].T)
+        np.divide(np.add(b, t, out=b), root2, out=b)
+        a[lo:hi, lo:] = b
+        a[lo:, lo:hi] = b.T
     return a
 
 
@@ -127,72 +131,46 @@ def sample_goe(dim: int, master_seed: int, member: int, stream: int = 0,
 
 @dataclass(frozen=True)
 class _EmbeddingPlan:
-    flat: np.ndarray  # mu*dim + nu positions in the embedded matrix, mu <= nu
-    src: np.ndarray  # index into [u, -u], u = upper triangle (a <= b) of w by rows
-    dim: int
+    mu: np.ndarray  # (G, A) m-particle index of each active set of each spectator set
+    act: np.ndarray  # (G, A) rank-r index of the active set
+    order: np.ndarray  # (G * A,) flat (spectator set, active set) rows, by mu, then spectator set
+    tau: np.ndarray  # (D,) (-1)^(sum of its orbitals) of each rank-r determinant
+    kappa: np.ndarray  # (A,) (-1)^(sum of its places among the free orbitals) of each active set
 
 
-_CHUNK = 1 << 14  # plan terms handled per step, when building and when embedding
+_CHUNK = 10_240  # terms per embedding step in the least work, embed_work(dim_r)
+_CHUNK_MAX = 1 << 15  # terms a step takes where the work has room
 _MIRROR_ROWS = 32  # row block of the in-place mirror
 _COMPOUND_ROWS = 64  # row block of a Laplace step's products
 
 
-def _spectator_blocks(spect, combos, basis_m, basis_r):
-    """(mu, act, par) of every active set of each spectator row, ascending in mu.
-
-    spect is (g, m - r) spectator orbitals, combos (A, r) positions among a
-    row's free orbitals in ascending bitmask order, so mu ascends along a row.
-    par is the crossing parity of pulling the active orbitals out of mu: the
-    parity of the number of spectators below them.
-    """
-    one = np.uint64(1)
-    rows = np.arange(len(spect))
-    occupied = np.zeros((len(spect), basis_m.n_orb), dtype=bool)
-    occupied[rows[:, None], spect] = True
-    free = np.nonzero(~occupied)[1].reshape(len(spect), -1)
-    gmask = (one << spect.astype(np.uint64)).sum(axis=1, dtype=np.uint64)[:, None]
-    alpha = free[:, combos]
-    amask = (one << alpha.astype(np.uint64)).sum(axis=2, dtype=np.uint64)
-    below = np.cumsum(occupied, axis=1)[rows[:, None, None], alpha]
-    par = below.sum(axis=2) & 1
-    mu = np.searchsorted(basis_m.states, amask | gmask)
-    return mu, np.searchsorted(basis_r.states, amask), par
-
-
 @lru_cache(maxsize=8)
 def embedding_plan(n_orb: int, m: int, r: int) -> _EmbeddingPlan:
-    """Read-only decomposition of every rank-r embedding, upper triangle only.
+    """Read-only tables of every rank-r embedding, one (mu, act) row per spectator set.
 
-    Spectator sets are taken in combination order and each set's (mu <= nu)
-    pairs in row-major order, written straight into the two plan arrays.
+    Spectator sets are taken in combination order, and every row lists the
+    same A = C(n_orb - m + r, r) combinations c of places among the set's
+    free orbitals.  An orbital a has a spectators and free orbitals below it,
+    so the crossing sign of the active orbitals alpha at places c, minus one
+    to the number of spectators below them, is tau(alpha) kappa(c).
     """
     basis_m, basis_r = _basis(n_orb, m), _basis(n_orb, r)
-    d, dr = basis_m.dim, basis_r.dim
-    n_tri = dr * (dr + 1) // 2
-    spect = np.array(list(itertools.combinations(range(n_orb), m - r)), dtype=np.intp)
-    # every spectator set links C(n_orb - m + r, r) determinants
-    combos = np.array(sorted(itertools.combinations(range(n_orb - m + r), r),
-                             key=lambda c: sum(1 << i for i in c)), dtype=np.intp)
-    mu, act, par = _spectator_blocks(spect, combos, basis_m, basis_r)
-    # int32 wherever every index fits, as it does up to d = 46340; every
-    # product below fits the dtype of the array it is written to
-    mu = mu.astype(np.int32 if d * d < 2**31 else np.intp)
-    act, par = (x.astype(np.int32 if 2 * n_tri < 2**31 else np.intp) for x in (act, par))
-    iu, ju = np.triu_indices(len(combos))
-    flat = np.empty((len(mu), len(iu)), dtype=mu.dtype)
-    src = np.empty((len(mu), len(iu)), dtype=act.dtype)
-    step = max(1, _CHUNK // len(iu))  # spectator sets written per step
-    for first in range(0, len(mu), step):
-        g = slice(first, first + step)
-        flat[g] = mu[g].take(iu, axis=1) * d + mu[g].take(ju, axis=1)
-        a, b = act[g].take(iu, axis=1), act[g].take(ju, axis=1)
-        a, b = np.minimum(a, b), np.maximum(a, b)  # w enters symmetrized
-        sign = par[g].take(iu, axis=1) ^ par[g].take(ju, axis=1)
-        src[g] = a * (2 * dr - a - 1) // 2 + b + sign * n_tri
-    flat, src = flat.ravel(), src.ravel()
-    for arr in (flat, src):
-        arr.flags.writeable = False
-    return _EmbeddingPlan(flat, src, d)
+    spect = list(itertools.combinations(range(n_orb), m - r))
+    free = np.array([[o for o in range(n_orb) if o not in g] for g in spect], dtype=np.uint64)
+    gmask = np.array([sum(1 << o for o in g) for g in spect], dtype=np.uint64)[:, None]
+    combos = np.array(list(itertools.combinations(range(n_orb - m + r), r)), dtype=np.intp,
+                      ndmin=2)
+    amask = np.zeros((len(spect), len(combos)), dtype=np.uint64)
+    for col in combos.T:
+        amask |= np.uint64(1) << free[:, col]  # one active orbital of every active set
+    mu = np.searchsorted(basis_m.states, amask | gmask)
+    tables = (mu, np.searchsorted(basis_r.states, amask),
+              np.argsort(mu.reshape(-1), kind="stable"),
+              1.0 - 2.0 * (basis_r.occupations[:, 1::2].sum(axis=1) % 2),
+              1.0 - 2.0 * (combos.sum(axis=1) % 2))
+    for a in tables:
+        a.flags.writeable = False
+    return _EmbeddingPlan(*tables)
 
 
 def mirror_upper(a: np.ndarray) -> None:
@@ -220,7 +198,7 @@ def _carve(work: np.ndarray, start: int, *shapes: tuple[int, int]) -> list[np.nd
 
 def embed_work(dim_r: int) -> int:
     """Doubles of work embed_k_body uses for a rank-r basis of dim_r determinants."""
-    return dim_r * (dim_r + 1) + 2 * _CHUNK
+    return dim_r * dim_r + 3 * max(_CHUNK, dim_r)
 
 
 def embed_k_body(coeffs: np.ndarray, basis_m: FockBasis, basis_r: FockBasis,
@@ -230,44 +208,59 @@ def embed_k_body(coeffs: np.ndarray, basis_m: FockBasis, basis_r: FockBasis,
     coeffs[a, b] multiplies B+(a) B(b) summed over all rank-r determinant pairs;
     the result is the dense m-particle matrix of (coeffs + coeffs^T) / 2, the
     symmetric part of the embedded coeffs, and is exactly symmetric.  It is
-    written into out (a new array if None).  The signed vector and one chunk
-    of gathered terms and their intp indices lie in the flat work of
-    embed_work(basis_r.dim) doubles (a new one if None), which must not
-    overlap coeffs; the signed vector is complete before out is written, so
-    coeffs may lie in out's memory.  Each
-    upper-triangle entry adds its terms in plan order, one chunk of terms at a
-    time, and the lower triangle is mirrored in place.
+    written into out (a new array if None).  ws = tau (coeffs + coeffs^T) / 2 tau
+    and three step buffers lie in the flat work of at least embed_work(dim_r)
+    doubles (a new one if None), which must not overlap coeffs; ws is complete
+    before out is written, so coeffs may lie in out's memory.  A step takes
+    plan rows (g, i) in mu order, up to _CHUNK_MAX terms where work has room:
+    it gathers ws[act[g, i], act[g]], multiplies by kappa_i kappa and adds the
+    terms at (mu[g, i], mu[g]).  A spectator set links each entry at most once
+    and the rows of one mu come in ascending spectator order, so each entry,
+    in either triangle, adds its terms in that order from zero.
     """
     if basis_r.n_orb != basis_m.n_orb:
         raise ValueError("bases must share the orbital set")
     if not 0 <= basis_r.n_part <= basis_m.n_part:
         raise ValueError("operator rank must not exceed the particle number")
-    dr = basis_r.dim
+    dr, d = basis_r.dim, basis_m.dim
     if coeffs.shape != (dr, dr):
         raise ValueError(f"coefficient matrix must be {dr} x {dr}")
     plan = embedding_plan(basis_m.n_orb, basis_m.n_part, basis_r.n_part)
-    if work is None:
-        work = np.empty(embed_work(dr))
-    n_tri = dr * (dr + 1) // 2
-    signed, terms, index = np.split(work[: embed_work(dr)], [2 * n_tri, 2 * n_tri + _CHUNK])
-    index = index.view(np.intp)  # the plan's int32 indices, cast once per chunk
-    start = 0
-    for a in range(dr):  # row a of the upper triangle of coeffs + coeffs^T
-        np.add(coeffs[a, a:], coeffs[a:, a], out=signed[start:start + dr - a])
-        start += dr - a
-    signed[:n_tri] *= 0.5
-    np.negative(signed[:n_tri], out=signed[n_tri:])
-    out = np.empty((plan.dim, plan.dim)) if out is None else out
+    work = np.empty(embed_work(dr)) if work is None else work
+    step = max(_CHUNK, dr, min(_CHUNK_MAX, (len(work) - dr * dr) // 3))
+    ws, terms, index, spare = np.split(work[: dr * dr + 3 * step],
+                                       [dr * dr + k * step for k in range(3)])
+    # every array a ufunc below sees lies in work and is the shape of the
+    # others, as a strided or broadcast operand makes numpy allocate buffers
+    square, rows = ws.reshape(dr, dr), step // dr
+    for lo in range(0, dr, rows):  # ws a block of rows at a time
+        block, t = square[lo:lo + rows], terms[: rows * dr].reshape(rows, dr)[: dr - lo]
+        np.copyto(t, coeffs[:, lo:lo + rows].T)
+        np.add(coeffs[lo:lo + rows], t, out=block)
+        for factor in (0.5 * plan.tau[lo:lo + rows, None], plan.tau):
+            np.copyto(t, factor)
+            block *= t
+    out = np.empty((d, d)) if out is None else out
     out.fill(0.0)
-    upper = out.ravel()
-    for lo in range(0, len(plan.src), _CHUNK):
-        src, flat = plan.src[lo:lo + _CHUNK], plan.flat[lo:lo + _CHUNK]
-        idx, vals = index[: len(src)], terms[: len(src)]
-        np.copyto(idx, src)
-        np.take(signed, idx, out=vals, mode="clip")  # unbuffered
-        np.copyto(idx, flat)
-        np.add.at(upper, idx, vals)
-    mirror_upper(out)
+    n_act = plan.act.shape[1]
+    rows = step // n_act  # table rows per step
+    for lo in range(0, len(plan.order), rows):
+        flat = plan.order[lo:lo + rows]
+        g, i = np.divmod(flat, n_act)
+        shape = (len(g), n_act)
+        idx, vals, signs = (b[: len(g) * n_act].reshape(shape)
+                            for b in (index.view(np.intp), terms, spare))
+        off = signs.view(np.intp)  # the row offsets, before and after the signs
+        np.take(plan.act, g, axis=0, out=idx, mode="clip")  # unbuffered
+        np.copyto(off, (plan.act.take(flat) * dr)[:, None])
+        idx += off
+        np.take(ws, idx, out=vals, mode="clip")
+        np.einsum("i,j->ij", plan.kappa.take(i), plan.kappa, out=signs)
+        vals *= signs
+        np.take(plan.mu, g, axis=0, out=idx, mode="clip")
+        np.copyto(off, (plan.mu.take(flat) * d)[:, None])
+        idx += off
+        np.add.at(out.reshape(-1), idx.reshape(-1), vals.reshape(-1))
     return out
 
 

@@ -78,6 +78,7 @@ _RMIN, _RMAX = math.sqrt(_SMLNUM), math.sqrt(1.0 / _SMLNUM)
 _RESIDUAL_TOL = 1e-9
 _ORTHONORMAL_TOL = 1e-10
 _STOCHASTIC_TOL = 1e-10
+_RESIDUAL_ROWS = 16  # row block of the residual guard's w u^T
 
 
 def _fortran(fn, *args):
@@ -188,8 +189,12 @@ def diagonalize(mat: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarr
         ut, r = u.T, work[: d * d].reshape(d, d)
     scale = float(np.linalg.norm(mat))
     np.matmul(ut, mat, out=r)  # (A u)^T, A being symmetric
-    for row, w_j, u_j in zip(r, w, ut):  # row by row, so the scratch is one row
-        row -= w_j * u_j
+    block = np.empty((min(d, _RESIDUAL_ROWS), d))
+    for lo in range(0, d, _RESIDUAL_ROWS):  # r -= w u^T; a broadcasting ufunc allocates buffers
+        rows = slice(lo, lo + _RESIDUAL_ROWS)
+        np.copyto(b := block[: len(r[rows])], w[rows, None])
+        b *= ut[rows]
+        r[rows] -= b
     resid = float(np.linalg.norm(r))
     if not resid <= _RESIDUAL_TOL * max(scale, 1e-300):
         raise DiagonalizationError(f"reconstruction residual {resid:.3e} vs scale {scale:.3e}")
