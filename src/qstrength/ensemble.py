@@ -28,20 +28,19 @@ tuples position by position in member order, by the spectral module's sums
 contract (a failed member adds zeros), which makes the final numbers
 byte-identical for any worker count.
 
-A process that runs members allocates one member arena, on its first member:
-H's memory, which holds the draw embedded into it, then H, its eigenvectors
-and W, and one flat work area, which holds the eigensolve's workspace and,
-before and after the solve, every other large array of a member; the
-function that allocates them also places every array in them.  Members reuse
-the arena, so after the first they allocate nothing d x d.
-run_ensemble drops the caller's arena before it returns, and returns the
-caller's free heap to the system (glibc malloc_trim) before a pool forks.
+The loop that runs members owns the member arena: H's memory, which holds the
+draw embedded into it, then H, its eigenvectors and W, and one flat work area,
+which holds the eigensolve's workspace and, before and after the solve, every
+other large array of a member; the function that allocates them also places
+every array in them.  _run_members allocates one arena for a contiguous block
+of members, so after the first a member allocates nothing d x d.  One worker
+runs all members as one block; a pool runs one block per worker, after the
+caller's free heap goes back to the system (glibc malloc_trim).
 """
 
 from __future__ import annotations
 
 import ctypes
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -138,9 +137,8 @@ class _Arena(NamedTuple):
     embed: int  # where the rank-k embedding's buffers start in work
 
 
-@functools.lru_cache(maxsize=1)
-def _member_arena(N: int, m: int, t: int, k: int) -> _Arena:
-    """This process's member arena, the one place a member's arrays are sized and placed.
+def _member_arena(cfg: RunConfig) -> _Arena:
+    """A new member arena for cfg's system, the one place a member's arrays are sized and placed.
 
     A drawn coefficient matrix lies in the memory its embedding is written to,
     and an array not placed here starts its buffer.  t = 1: the compound
@@ -150,10 +148,10 @@ def _member_arena(N: int, m: int, t: int, k: int) -> _Arena:
     in its memory, the embedding's buffers after both, then U0^T V after V.
     The solve's workspace and, after the solve, the accumulators' scratch.
     """
-    d, dt, dk = (math.comb(N, r) for r in (m, t, k))
-    if t == 1:
+    d, dt, dk = (math.comb(cfg.N, r) for r in (cfg.m, cfg.t, cfg.k))
+    if cfg.t == 1:
         drawn, rot, embed = dk, dk * dk, 0
-        stages = (fock.compound_work(N, k), 2 * dk * dk, fock.embed_work(dk))
+        stages = (fock.compound_work(cfg.N, cfg.k), 2 * dk * dk, fock.embed_work(dk))
     else:
         drawn, rot, embed = dt, d * d, max(d * d, dk * dk)
         stages = (fock.embed_work(dt), embed + fock.embed_work(dk), 2 * d * d)
@@ -166,21 +164,22 @@ def _square(buf: np.ndarray, start: int, n: int) -> np.ndarray:
     return buf[start:start + n * n].reshape(n, n)
 
 
-def member_spectra(cfg: RunConfig, member: int) -> MemberSpectra:
+def member_spectra(cfg: RunConfig, member: int, arena: _Arena) -> MemberSpectra:
     """Build one member's H in the H0 eigenbasis and diagonalize it once.
 
-    H, its eigenvectors and then overlap_sq occupy the process's member arena,
-    so the arrays returned stay valid until this process's next member, and
-    threads of one process must not run members at the same time.
+    H, its eigenvectors and then overlap_sq occupy the given member arena, so
+    the arrays returned stay valid until the next member run on that arena,
+    and threads must not run members on one arena at the same time.
     Raises LinAlgError, DiagonalizationError or ValueError when an
     eigensolve or the doubly stochastic check fails.
     """
-    e0, h = _member_hamiltonian(cfg, member)
-    e, u = spectral.diagonalize(h, _member_arena(cfg.N, cfg.m, cfg.t, cfg.k).work)
+    e0, h = _member_hamiltonian(cfg, member, arena)
+    e, u = spectral.diagonalize(h, arena.work)
     return MemberSpectra(e0, e, spectral.overlaps(u))  # W overwrites u
 
 
-def _member_hamiltonian(cfg: RunConfig, member: int) -> tuple[np.ndarray, np.ndarray]:
+def _member_hamiltonian(cfg: RunConfig, member: int,
+                        arena: _Arena) -> tuple[np.ndarray, np.ndarray]:
     """(E0, H): the H0 eigenvalues and H = diag(E0) + lam V' in the H0 eigenbasis.
 
     Every d x d and C(N, k)^2 array lies in the member arena, where
@@ -189,7 +188,7 @@ def _member_hamiltonian(cfg: RunConfig, member: int) -> tuple[np.ndarray, np.nda
     basis_m = fock.build_basis(cfg.N, cfg.m)
     basis_t = fock.build_basis(cfg.N, cfg.t)
     basis_k = fock.build_basis(cfg.N, cfg.k)
-    h_mem, work, rot_at, embed_at = _member_arena(cfg.N, cfg.m, cfg.t, cfg.k)
+    h_mem, work, rot_at, embed_at = arena
     d, dt, dk = basis_m.dim, basis_t.dim, basis_k.dim
     h = _square(h_mem, 0, d)
     if cfg.t == 1:
@@ -217,8 +216,10 @@ def _member_hamiltonian(cfg: RunConfig, member: int) -> tuple[np.ndarray, np.nda
     return e0, h
 
 
-def run_member(cfg: RunConfig, member: int):
+def run_member(cfg: RunConfig, member: int, arena: _Arena):
     """One member's partial sums (strength, chaos[, moments]) and an error or None.
+
+    arena is a _member_arena(cfg), whose arrays the member overwrites.
 
     A failed eigensolve or overlap check returns the sums still at zero
     (member_count 0) with its message; otherwise each has member_count 1.
@@ -228,17 +229,22 @@ def run_member(cfg: RunConfig, member: int):
     if cfg.with_moments:
         sums += (spectral.BivariateMomentAccumulator(),)
     try:
-        spec = member_spectra(cfg, member)
+        spec = member_spectra(cfg, member, arena)
         e0, e1 = spectral.standardize(spec.e0), spectral.standardize(spec.e)
     except (np.linalg.LinAlgError, spectral.DiagonalizationError, ValueError) as exc:
         return sums, f"member {member}: {exc}"
     strength, chaos, *moments = sums
-    work = _member_arena(cfg.N, cfg.m, cfg.t, cfg.k).work
-    strength.add_member(e0, e1, spec.overlap_sq, work)
-    chaos.add_member(e1, spec.overlap_sq, work)
+    strength.add_member(e0, e1, spec.overlap_sq, arena.work)
+    chaos.add_member(e1, spec.overlap_sq, arena.work)
     for acc in moments:
         acc.add_member(spec.e0, spec.e, spec.overlap_sq)
     return sums, None
+
+
+def _run_members(cfg: RunConfig, members: range) -> list:
+    """run_member's outcomes for a contiguous block of members, all on one new arena."""
+    arena = _member_arena(cfg)
+    return [run_member(cfg, member, arena) for member in members]
 
 
 def _blas_thread_setter():
@@ -264,38 +270,27 @@ def _malloc_trim():
 def run_ensemble(cfg: RunConfig) -> EnsembleResult:
     """Run all members and reduce their partial sums in member order.
 
-    A process that runs members keeps one member arena; the calling process
-    drops its own before returning, so what follows does not stack on it.
-    Before a pool forks, the caller's free heap goes back to the system, so
-    the workers do not inherit it.
+    One worker runs all members as one block in the caller; a pool of
+    min(workers, members) processes runs one contiguous block each.  Either
+    way no block's arena outlives its block, and a pool does not inherit the
+    caller's free heap.
     """
-    # Build the embedding and compound tables (under 1 MB each) up front so
-    # forked workers inherit them (RunConfig has built the basis already).
-    fock.embedding_plan(cfg.N, cfg.m, cfg.k)
-    if cfg.t == 1:
-        for rank in range(2, cfg.k + 1):
-            fock.compound_plan(cfg.N, rank)
+    if cfg.workers == 1:
+        outcomes = _run_members(cfg, range(cfg.members))
     else:
-        fock.embedding_plan(cfg.N, cfg.m, cfg.t)
-    _member_arena.cache_clear()
-    args = [cfg] * cfg.members, range(cfg.members)  # run_member's, member by member
-    try:
-        if cfg.workers == 1:
-            outcomes = list(map(run_member, *args))
-        else:
-            from concurrent.futures import ProcessPoolExecutor  # one worker never maps it
-            chunk = max(1, cfg.members // (4 * cfg.workers))
-            if _blas_thread_setter() is None:
-                print("no OpenBLAS thread setter found: workers keep the default BLAS threads",
-                      file=sys.stderr)
-            trim = _malloc_trim()
-            if trim is not None:
-                trim(0)
-            with ProcessPoolExecutor(max_workers=cfg.workers,
-                                     initializer=_one_blas_thread) as pool:
-                outcomes = list(pool.map(run_member, *args, chunksize=chunk))
-    finally:
-        _member_arena.cache_clear()
+        from concurrent.futures import ProcessPoolExecutor  # one worker never maps it
+        blocks = min(cfg.workers, cfg.members)
+        cuts = [cfg.members * b // blocks for b in range(blocks + 1)]
+        if _blas_thread_setter() is None:
+            print("no OpenBLAS thread setter found: workers keep the default BLAS threads",
+                  file=sys.stderr)
+        trim = _malloc_trim()
+        if trim is not None:
+            trim(0)
+        with ProcessPoolExecutor(max_workers=blocks, initializer=_one_blas_thread) as pool:
+            outcomes = [outcome for block in pool.map(_run_members, [cfg] * blocks,
+                                                      map(range, cuts, cuts[1:]))
+                        for outcome in block]
     sums = outcomes[0][0]
     for partial, _ in outcomes[1:]:
         sums = tuple(total.merge(part) for total, part in zip(sums, partial))

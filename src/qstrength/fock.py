@@ -18,8 +18,9 @@ determinant and a sign kappa of the active orbitals' places among the free
 orbitals.  An embedding gathers the tau-signed symmetric part of w over
 spectator block rows, applies the kappa product and adds the terms at
 (mu_i, mu_j), so it needs the output, that signed part and step buffers.
-Bases and tables are made once per shape (functools.lru_cache), returned
-read-only, and shared by every ensemble member.
+Bases and tables are made once per shape and process (functools.lru_cache),
+returned read-only, and shared by every member the process runs; a forked pool
+worker builds its own unless its parent had built them before the fork.
 
 An orthogonal change of orbitals, new orbital j = sum_i O[i, j] (old orbital
 i), acts on rank-r determinants through the r-th compound matrix
@@ -140,7 +141,6 @@ class _EmbeddingPlan:
 
 _CHUNK = 10_240  # terms per embedding step in the least work, embed_work(dim_r)
 _CHUNK_MAX = 1 << 15  # terms a step takes where the work has room
-_MIRROR_ROWS = 32  # row block of the in-place mirror
 _COMPOUND_ROWS = 64  # row block of a Laplace step's products
 
 
@@ -171,20 +171,6 @@ def embedding_plan(n_orb: int, m: int, r: int) -> _EmbeddingPlan:
     for a in tables:
         a.flags.writeable = False
     return _EmbeddingPlan(*tables)
-
-
-def mirror_upper(a: np.ndarray) -> None:
-    """Copy the strict upper triangle of a square matrix into its lower one, in place.
-
-    The scratch is one block of _MIRROR_ROWS rows; mirror_upper(a.T) copies the
-    lower triangle into the upper one.
-    """
-    for lo in range(0, len(a), _MIRROR_ROWS):
-        hi = lo + _MIRROR_ROWS
-        block = a[lo:hi, lo:hi]
-        lower = np.tril_indices(len(block), -1)
-        block[lower] = block.T[lower]
-        a[hi:, lo:hi] = a[lo:hi, hi:].T
 
 
 def _carve(work: np.ndarray, start: int, *shapes: tuple[int, int]) -> list[np.ndarray]:

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .bca import QParameterSet, strength_moment_prediction
-from .fock import mirror_upper
 from .qnormal import QuadratureError, f_cqn, f_qn, h_factor, support
 
 __all__ = [
@@ -79,6 +78,7 @@ _RESIDUAL_TOL = 1e-9
 _ORTHONORMAL_TOL = 1e-10
 _STOCHASTIC_TOL = 1e-10
 _RESIDUAL_ROWS = 16  # row block of the residual guard's w u^T
+_MIRROR_ROWS = 32  # row block of the in-place mirror
 
 
 def _fortran(fn, *args):
@@ -91,6 +91,20 @@ def _fortran(fn, *args):
     refs = [a if isinstance(a, bytes) else a.ctypes if isinstance(a, np.ndarray)
             else ctypes.byref(ctypes.c_int64(a)) for a in args]
     fn(*refs, *[ctypes.c_size_t(1)] * sum(isinstance(a, bytes) for a in args))
+
+
+def _mirror_upper(a: np.ndarray) -> None:
+    """Copy the strict upper triangle of a square matrix into its lower one, in place.
+
+    The scratch is one block of _MIRROR_ROWS rows; _mirror_upper(a.T) copies
+    the lower triangle into the upper one.
+    """
+    for lo in range(0, len(a), _MIRROR_ROWS):
+        hi = lo + _MIRROR_ROWS
+        block = a[lo:hi, lo:hi]
+        lower = np.tril_indices(len(block), -1)
+        block[lower] = block.T[lower]
+        a[hi:, lo:hi] = a[lo:hi, hi:].T
 
 
 def _dsyevd_lengths(d: int, steps) -> tuple[int, int]:
@@ -143,7 +157,7 @@ def _dsyevd_in_place(mat, work, iwork, dsytrd, dstedc, dormtr):
     if info[0] != 0:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     _fortran(dormtr, b"L", b"L", b"N", d, d, mat, d, tau, z, d, rest, len(rest), info)
-    mirror_upper(mat.T)
+    _mirror_upper(mat.T)
     np.fill_diagonal(mat, diag)
     return w, z[: d * d].reshape(d, d), rest[: d * d].reshape(d, d)
 
@@ -179,7 +193,7 @@ def diagonalize(mat: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarr
             and len(work) >= max(d * d, lwork + liwork)):
         raise ValueError(f"work must be a contiguous flat float64 array of at least "
                          f"{max(d * d, lwork + liwork)} doubles")
-    mirror_upper(mat.T)  # the lower triangle into the upper one
+    _mirror_upper(mat.T)  # the lower triangle into the upper one
     anrm = np.maximum(mat.max(), -mat.min())  # dsyevd's dlansy('M'); NaN propagates
     if d > 1 and steps and (anrm == 0.0 or _RMIN <= anrm <= _RMAX):
         iwork = work[lwork:lwork + liwork].view(np.int64)

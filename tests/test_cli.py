@@ -268,12 +268,16 @@ class TestSimulate:
 
     @pytest.mark.parametrize("extra", [[], ["--moments"]], ids=["default", "moments"])
     def test_worker_count_does_not_change_bytes(self, tmp_path, extra):
-        a, b = tmp_path / "a", tmp_path / "b"
+        # 4 members: even blocks, uneven blocks (1, 1, 2) and fewer members than workers
+        a = tmp_path / "1"
         assert run_cli(SIM_ARGS + extra + ["--workers", "1", "--out", str(a)])[0] == 0
-        assert run_cli(SIM_ARGS + extra + ["--workers", "2", "--out", str(b)])[0] == 0
         assert ("bivariate.csv" in sim_outputs(a)) == bool(extra)
-        for name in sim_outputs(a):
-            assert (a / name).read_bytes() == (b / name).read_bytes()
+        for workers in ("2", "3", "5"):
+            b = tmp_path / workers
+            assert run_cli(SIM_ARGS + extra + ["--workers", workers, "--out", str(b)])[0] == 0
+            assert sim_outputs(b) == sim_outputs(a)
+            for name in sim_outputs(a):
+                assert (a / name).read_bytes() == (b / name).read_bytes(), (workers, name)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -523,7 +527,7 @@ def test_centre_window_alone_is_not_an_off_center_window(tmp_path):
 
 @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
 def test_failed_members_leave_no_empty_out_behind(tmp_path, monkeypatch, existing):
-    def fail(cfg, member):
+    def fail(cfg, member, arena):
         raise ValueError("forced failure")
 
     monkeypatch.setattr(cli.ensemble, "member_spectra", fail)
@@ -541,7 +545,7 @@ def test_failed_members_leave_no_empty_out_behind(tmp_path, monkeypatch, existin
 def test_failed_members_keep_an_out_written_into_during_the_run(tmp_path, monkeypatch):
     out = tmp_path / "runs" / "a"
 
-    def fail(cfg, member):
+    def fail(cfg, member, arena):
         (out / "other.txt").write_text("written by another process\n")
         raise ValueError("forced failure")
 

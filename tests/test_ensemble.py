@@ -39,8 +39,9 @@ def dense_oracle(cfg: RunConfig, member: int):
 def test_member_matches_dense_two_eigensolve_oracle(system):
     N, m, t, k = system
     cfg = RunConfig(N=N, m=m, t=t, k=k, xi_sq_target=0.5, seed=41)
+    arena = ensemble._member_arena(cfg)
     for member in range(3):
-        spec = member_spectra(cfg, member)
+        spec = member_spectra(cfg, member, arena)
         h0, h, wsq = dense_oracle(cfg, member)
         order = np.argsort(spec.e0)
         np.testing.assert_allclose(spec.e0[order], np.linalg.eigvalsh(h0), rtol=0, atol=1e-12)
@@ -52,7 +53,7 @@ def test_member_matches_dense_two_eigensolve_oracle(system):
 def test_moments_are_basis_independent(system):
     N, m, t, k = system
     cfg = RunConfig(N=N, m=m, t=t, k=k, xi_sq_target=0.5, seed=43)
-    spec = member_spectra(cfg, 0)
+    spec = member_spectra(cfg, 0, ensemble._member_arena(cfg))
     h0, h, _ = dense_oracle(cfg, 0)
     frame = spectral.BivariateMomentAccumulator()
     frame.add_member(spec.e0, spec.e, spec.overlap_sq)
@@ -66,11 +67,12 @@ def test_moments_are_basis_independent(system):
 def test_uncoupled_member_overlaps_are_exactly_zero_or_one(system):
     N, m, t, k = system
     cfg = RunConfig(N=N, m=m, t=t, k=k, lam=0.0, seed=5)
+    arena = ensemble._member_arena(cfg)
     for member in range(3):
-        wsq = member_spectra(cfg, member).overlap_sq
+        wsq = member_spectra(cfg, member, arena).overlap_sq
         assert np.all((wsq == 0.0) | (wsq == 1.0))
         assert np.all(wsq.sum(axis=0) == 1.0) and np.all(wsq.sum(axis=1) == 1.0)
-        (_, chaos), err = run_member(cfg, member)
+        (_, chaos), err = run_member(cfg, member, arena)
         seen = chaos.count > 0
         assert err is None
         assert np.all(chaos.npc()[seen] == 1.0) and np.all(chaos.s_info()[seen] == 0.0)
@@ -92,7 +94,8 @@ def test_one_many_body_eigensolve_for_one_body_mean_field(monkeypatch, system, e
     monkeypatch.setattr(spectral, "diagonalize", counted_diagonalize)
     monkeypatch.setattr(fock, "embed_k_body", counted_embed)
     N, m, t, k = system
-    (strength, _), err = run_member(RunConfig(N=N, m=m, t=t, k=k, xi_sq_target=0.5, seed=3), 0)
+    cfg = RunConfig(N=N, m=m, t=t, k=k, xi_sq_target=0.5, seed=3)
+    (strength, _), err = run_member(cfg, 0, ensemble._member_arena(cfg))
     assert err is None and strength.member_count == 1
     assert calls == {"diagonalize": eigensolves, "embed": embeddings}
 
@@ -108,8 +111,8 @@ getter = spectral.openblas_symbol("scipy_openblas_get_num_threads64_")
 if getter is None or ensemble._blas_thread_setter() is None:
     raise SystemExit(77)
 run_member = ensemble.run_member
-def probe(cfg, member):
-    return run_member(cfg, member)[0], str(getter())
+def probe(cfg, member, arena):
+    return run_member(cfg, member, arena)[0], str(getter())
 ensemble.run_member = probe
 multiprocessing.set_start_method("fork")  # the workers inherit probe
 before = getter()
@@ -144,26 +147,27 @@ def test_pool_without_a_blas_setter_says_so(monkeypatch, capsys):
 @pytest.mark.parametrize("system", [(10, 5, 1, 2), (12, 6, 1, 4), (10, 5, 1, 4), (10, 5, 2, 3)],
                          ids=["10-5-1-2", "12-6-1-4", "10-5-1-4", "10-5-2-3"])
 def test_member_working_set_is_three_dense_matrices(system):
-    # A member on a cold arena allocates it: H's memory, which takes the draw
-    # embedded into it, then H, the eigenvectors and W, and a flat work area
-    # that holds LAPACK's 2 d^2 workspace during the solve, the compound
-    # matrix, rotation and embedding buffers before it, and the guards' and
-    # accumulators' scratch after it; tracemalloc sees every numpy
-    # allocation.  The O(d) slack covers LAPACK's integer workspace, the
-    # eigenvalues, O(d) temporaries and a row block of the in-place triangle
-    # copy.  Measured cold peaks: 3.20, 3.05, 3.20 and 3.16 d^2.  A warm
-    # member allocates nothing d x d: measured 0.03 d^2 at d = 924 and
-    # 0.13-0.15 d^2 at d = 252, all of it O(d).
+    # The cold arena is allocated in the trace with its first member: H's
+    # memory, which takes the draw embedded into it, then H, the eigenvectors
+    # and W, and a flat work area that holds LAPACK's 2 d^2 workspace during
+    # the solve, the compound matrix, rotation and embedding buffers before
+    # it, and the guards' and accumulators' scratch after it; tracemalloc
+    # sees every numpy allocation.  The O(d) slack covers LAPACK's integer
+    # workspace, the eigenvalues, O(d) temporaries and a row block of the
+    # in-place triangle copy.  Measured cold peaks: 3.20, 3.05, 3.20 and
+    # 3.16 d^2.  A warm member allocates nothing d x d: measured 0.03 d^2 at
+    # d = 924 and 0.13-0.15 d^2 at d = 252, all of it O(d).
     N, m, t, k = system
     cfg = RunConfig(N=N, m=m, t=t, k=k, xi_sq_target=0.5, members=2, with_moments=True)
     d = fock.build_basis(cfg.N, cfg.m).dim
-    run_member(cfg, 0)  # builds the cached plans outside the trace
-    peaks = []
-    ensemble._member_arena.cache_clear()
+    run_member(cfg, 0, ensemble._member_arena(cfg))  # builds the cached plans outside the trace
+    peaks, arena = [], None
     for member in (1, 2):  # on a cold arena, then on the one member 1 left
         tracemalloc.start()
         try:
-            _, err = run_member(cfg, member)
+            if arena is None:
+                arena = ensemble._member_arena(cfg)
+            _, err = run_member(cfg, member, arena)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -173,12 +177,27 @@ def test_member_working_set_is_three_dense_matrices(system):
     assert warm <= 0.25, f"warm member {warm:.3f} d^2 doubles"
 
 
-def test_run_ensemble_leaves_no_arena_in_the_caller():
+def test_one_block_runs_on_one_arena(monkeypatch):
+    calls, arena = [], ensemble._member_arena
+    monkeypatch.setattr(ensemble, "_member_arena", lambda cfg: calls.append(cfg) or arena(cfg))
     cfg = RunConfig(N=8, m=4, t=1, k=2, xi_sq_target=0.5, members=3)
-    member_spectra(cfg, 0)
-    assert ensemble._member_arena.cache_info().currsize == 1
     assert not run_ensemble(cfg).failures
-    assert ensemble._member_arena.cache_info().currsize == 0
+    assert calls == [cfg]
+
+
+def test_run_ensemble_leaves_no_arena_in_the_caller():
+    # a member arena is 3 d^2 doubles; what the result holds is O(d) and the bins
+    cfg = RunConfig(N=10, m=5, t=1, k=2, xi_sq_target=0.5, members=3)
+    d = fock.build_basis(cfg.N, cfg.m).dim
+    assert not run_ensemble(cfg).failures  # builds the cached bases and tables
+    tracemalloc.start()
+    try:
+        result = run_ensemble(cfg)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert not result.failures
+    assert held < 8 * 0.5 * d * d, f"{held / (8 * d * d):.3f} d^2 doubles left in the caller"
 
 
 def test_pool_sums_do_not_depend_on_the_pre_fork_trim(monkeypatch):

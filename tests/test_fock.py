@@ -133,19 +133,6 @@ def test_embedding_output_is_symmetric():
     np.testing.assert_array_equal(v, v.T)
 
 
-@pytest.mark.parametrize("d", [1, 31, 70])
-def test_mirror_copies_either_triangle_over_any_values(d):
-    # d = 70 is not a multiple of the row block; the target triangle holds
-    # values, not the zeros an embedding leaves there
-    a = np.random.default_rng(d).standard_normal((d, d))
-    upper = a.copy()
-    fock.mirror_upper(upper)
-    np.testing.assert_array_equal(upper, np.triu(a) + np.triu(a, 1).T)
-    lower = a.copy()
-    fock.mirror_upper(lower.T)
-    np.testing.assert_array_equal(lower, np.tril(a) + np.tril(a, -1).T)
-
-
 def full_square_scatter(coeffs: np.ndarray, n_orb: int, m: int, r: int) -> np.ndarray:
     """Reference embedding: every (mu, nu) pair of each spectator set, both
     triangles, scattered with its sign product, then 0.5 * (out + out^T)."""

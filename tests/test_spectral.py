@@ -85,19 +85,21 @@ class TestDiagonalize:
             diagonalize(mat, work)
 
 
+def _member_h(**system) -> np.ndarray:
+    cfg = ensemble.RunConfig(**system)
+    return ensemble._member_hamiltonian(cfg, 0, ensemble._member_arena(cfg))[1]
+
+
 # The in-place LAPACK solve must give numpy's eigh bit for bit: member H of a
 # t = 1 and a t = 2 system (the rotated t = 2 H is not exactly symmetric), the
 # t = 1 H scaled into dsyevd's scaling branch from below and from above (which
 # eigh solves), the diagonal H at lam = 0, and d = 1 and 2.
 _EIGH_CASES = {
-    "member-12-6-1-2": lambda: ensemble._member_hamiltonian(
-        ensemble.RunConfig(N=12, m=6, t=1, k=2, xi_sq_target=0.5), 0)[1],
+    "member-12-6-1-2": lambda: _member_h(N=12, m=6, t=1, k=2, xi_sq_target=0.5),
     "member-12-6-1-2-x1e-150": lambda: _EIGH_CASES["member-12-6-1-2"]() * 1e-150,
     "member-12-6-1-2-x1e150": lambda: _EIGH_CASES["member-12-6-1-2"]() * 1e150,
-    "rotated-8-4-2-3": lambda: ensemble._member_hamiltonian(
-        ensemble.RunConfig(N=8, m=4, t=2, k=3, xi_sq_target=0.5), 0)[1],
-    "lambda-0": lambda: ensemble._member_hamiltonian(
-        ensemble.RunConfig(N=8, m=4, t=1, k=2, lam=0.0), 0)[1],
+    "rotated-8-4-2-3": lambda: _member_h(N=8, m=4, t=2, k=3, xi_sq_target=0.5),
+    "lambda-0": lambda: _member_h(N=8, m=4, t=1, k=2, lam=0.0),
     "d-1": lambda: np.array([[0.75]]),
     "d-2": lambda: np.array([[0.5, -1.25], [-1.25, 2.0]]),
 }
@@ -186,6 +188,19 @@ def test_dsyevd_resolves_wherever_the_thread_setter_does():
     if ensemble._blas_thread_setter() is None:
         pytest.skip("numpy's OpenBLAS has no scipy_openblas thread setter")
     assert None not in _LAPACK  # else diagonalize would fall back to eigh's larger footprint
+
+
+@pytest.mark.parametrize("d", [1, 31, 70])
+def test_mirror_copies_either_triangle_over_any_values(d):
+    # d = 70 is not a multiple of the row block; the target triangle holds
+    # values, not zeros
+    a = np.random.default_rng(d).standard_normal((d, d))
+    upper = a.copy()
+    spectral._mirror_upper(upper)
+    np.testing.assert_array_equal(upper, np.triu(a) + np.triu(a, 1).T)
+    lower = a.copy()
+    spectral._mirror_upper(lower.T)
+    np.testing.assert_array_equal(lower, np.tril(a) + np.tril(a, -1).T)
 
 
 class TestOverlaps:
