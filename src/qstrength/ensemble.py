@@ -14,9 +14,11 @@ embedded mean field H0, where the unperturbed states |kappa> are unit vectors:
 Either way H = diag(E0) + lam * V' is diagonalized once, and its eigenvectors u
 give the strength W = u * u directly.  Members are completely determined by
 (master seed, member index), so any subset can be recomputed anywhere; worker
-processes only change where a member is computed, never its result.  Each
-worker runs its BLAS on one thread when numpy's OpenBLAS exposes a thread
-setter, so a pool does not oversubscribe the cores.
+threads only change where a member is computed, never its result.  While a
+pool runs, numpy's OpenBLAS runs on one thread when it exposes a thread
+setter, so the pool's threads do not oversubscribe the cores.  A member's
+LAPACK steps (ctypes calls), BLAS matmuls and large ufuncs and takes run
+without the GIL; the embedding's np.add.at holds it.
 
 Each member yields one tuple of partial sums: a StrengthReport (overlap rows
 selected by windows on the standardized H0 spectrum), ChaosMeasures (NPC and
@@ -33,16 +35,19 @@ draw embedded into it, then H, its eigenvectors and W, and one flat work area,
 which holds the eigensolve's workspace and, before and after the solve, every
 other large array of a member; the function that allocates them also places
 every array in them.  _run_members allocates one arena for a contiguous block
-of members, so after the first a member allocates nothing d x d.  One worker
-runs all members as one block; a pool runs one block per worker, after the
-caller's free heap goes back to the system (glibc malloc_trim).
+of members, so after the first a member allocates nothing d x d.  After the
+caller's free heap goes back to the system (glibc malloc_trim), one worker
+runs all members as one block in the caller; a pool runs one block per
+thread of the calling process, each on its own arena.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import math
 import sys
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -241,10 +246,13 @@ def run_member(cfg: RunConfig, member: int, arena: _Arena):
     return sums, None
 
 
-def _run_members(cfg: RunConfig, members: range) -> list:
-    """run_member's outcomes for a contiguous block of members, all on one new arena."""
+def _run_members(cfg: RunConfig, members: range, stop: threading.Event) -> list:
+    """run_member's outcomes for a contiguous block of members, all on one new arena.
+
+    Once stop is set, the block runs no further member.
+    """
     arena = _member_arena(cfg)
-    return [run_member(cfg, member, arena) for member in members]
+    return [run_member(cfg, member, arena) for member in members if not stop.is_set()]
 
 
 def _blas_thread_setter():
@@ -252,11 +260,23 @@ def _blas_thread_setter():
     return spectral.openblas_symbol("scipy_openblas_set_num_threads64_")
 
 
-def _one_blas_thread() -> None:
-    """Pool initializer: this worker's BLAS runs on one thread."""
+@contextlib.contextmanager
+def _one_blas_thread():
+    """numpy's OpenBLAS runs on one thread inside, and on the caller's count after."""
     setter = _blas_thread_setter()
-    if setter is not None:
-        setter(1)
+    getter = spectral.openblas_symbol("scipy_openblas_get_num_threads64_")
+    if setter is None or getter is None:
+        print("no OpenBLAS thread setter found: the pool keeps the caller's BLAS threads",
+              file=sys.stderr)
+        yield
+        return
+    getter.restype, setter.argtypes = ctypes.c_int, [ctypes.c_int]
+    threads = getter()
+    setter(1)
+    try:
+        yield
+    finally:
+        setter(threads)
 
 
 def _malloc_trim():
@@ -270,27 +290,31 @@ def _malloc_trim():
 def run_ensemble(cfg: RunConfig) -> EnsembleResult:
     """Run all members and reduce their partial sums in member order.
 
-    One worker runs all members as one block in the caller; a pool of
-    min(workers, members) processes runs one contiguous block each.  Either
-    way no block's arena outlives its block, and a pool does not inherit the
-    caller's free heap.
+    The caller's free heap first goes back to the system.  One worker runs all
+    members as one block in the caller; a pool of min(workers, members)
+    threads in the calling process runs one contiguous block each, and if the
+    pool raises (a block's error, or an interrupt while the caller waits) the
+    other threads stop after their current member.  Either way no block's
+    arena outlives its block.
     """
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
+    stop = threading.Event()
     if cfg.workers == 1:
-        outcomes = _run_members(cfg, range(cfg.members))
+        outcomes = _run_members(cfg, range(cfg.members), stop)
     else:
-        from concurrent.futures import ProcessPoolExecutor  # one worker never maps it
+        from concurrent.futures import ThreadPoolExecutor  # one worker never maps it
         blocks = min(cfg.workers, cfg.members)
         cuts = [cfg.members * b // blocks for b in range(blocks + 1)]
-        if _blas_thread_setter() is None:
-            print("no OpenBLAS thread setter found: workers keep the default BLAS threads",
-                  file=sys.stderr)
-        trim = _malloc_trim()
-        if trim is not None:
-            trim(0)
-        with ProcessPoolExecutor(max_workers=blocks, initializer=_one_blas_thread) as pool:
-            outcomes = [outcome for block in pool.map(_run_members, [cfg] * blocks,
-                                                      map(range, cuts, cuts[1:]))
-                        for outcome in block]
+        with _one_blas_thread(), ThreadPoolExecutor(max_workers=blocks) as pool:
+            try:
+                done = list(pool.map(_run_members, [cfg] * blocks, map(range, cuts, cuts[1:]),
+                                     [stop] * blocks))
+            except BaseException:
+                stop.set()
+                raise
+        outcomes = [outcome for block in done for outcome in block]
     sums = outcomes[0][0]
     for partial, _ in outcomes[1:]:
         sums = tuple(total.merge(part) for total, part in zip(sums, partial))

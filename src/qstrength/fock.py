@@ -19,8 +19,8 @@ orbitals.  An embedding gathers the tau-signed symmetric part of w over
 spectator block rows, applies the kappa product and adds the terms at
 (mu_i, mu_j), so it needs the output, that signed part and step buffers.
 Bases and tables are made once per shape and process (functools.lru_cache),
-returned read-only, and shared by every member the process runs; a forked pool
-worker builds its own unless its parent had built them before the fork.
+returned read-only, and shared by every member the process runs: threads use
+the tables the process has cached.
 
 An orthogonal change of orbitals, new orbital j = sum_i O[i, j] (old orbital
 i), acts on rank-r determinants through the r-th compound matrix

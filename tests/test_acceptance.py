@@ -2,8 +2,8 @@
 
 The first five gates are exact/analytic and run in seconds; gates 6-10 share
 three Monte-Carlo ensembles at the reference system (N=12, m=6, t=1), each
-run on two worker processes (one BLAS thread each); they take a few minutes
-combined.  Every test prints a single summary line
+run on two worker threads (OpenBLAS on one thread while they run); they take
+a few minutes combined.  Every test prints a single summary line
 (visible with -v via the test outcome, and in captured output on failure).
 """
 

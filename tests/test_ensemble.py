@@ -8,8 +8,9 @@ eigenvalues and overlaps with one eigensolve of H per member.
 
 import subprocess
 import sys
+import time
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -100,12 +101,11 @@ def test_one_many_body_eigensolve_for_one_body_mean_field(monkeypatch, system, e
     assert calls == {"diagonalize": eigensolves, "embed": embeddings}
 
 
-# Runs a 2-worker ensemble whose members report their process's BLAS thread
-# count (numpy's bundled OpenBLAS) as their message; prints the caller's count
-# before and after, then the workers' counts.  Exits 77 when that OpenBLAS has
+# Runs a 2-worker ensemble whose members report the BLAS thread count (numpy's
+# bundled OpenBLAS) they run under as their message; prints the caller's count
+# before and after, then the members' counts.  Exits 77 when that OpenBLAS has
 # no thread getter or no setter.
 _BLAS_SCRIPT = """
-import multiprocessing
 from qstrength import ensemble, spectral
 getter = spectral.openblas_symbol("scipy_openblas_get_num_threads64_")
 if getter is None or ensemble._blas_thread_setter() is None:
@@ -114,7 +114,6 @@ run_member = ensemble.run_member
 def probe(cfg, member, arena):
     return run_member(cfg, member, arena)[0], str(getter())
 ensemble.run_member = probe
-multiprocessing.set_start_method("fork")  # the workers inherit probe
 before = getter()
 cfg = ensemble.RunConfig(N=8, m=4, t=1, k=2, xi_sq_target=0.5, members=4, workers=2)
 workers = [message for _, message in ensemble.run_ensemble(cfg).failures]
@@ -132,6 +131,69 @@ def test_pool_workers_run_one_blas_thread():
     assert workers == [1, 1, 1, 1]
     assert after == before  # the calling process keeps its threads
     assert "no OpenBLAS thread setter" not in proc.stderr
+
+
+def test_pool_stops_between_members_when_a_block_raises(monkeypatch):
+    # block 0 (members 0-3) raises at once; block 1 (members 4-7) takes 50 ms
+    # a member, so it sees the stop after its first member or, at worst, second
+    getter = spectral.openblas_symbol("scipy_openblas_get_num_threads64_")
+    before = None if getter is None else getter()
+    ran = []
+
+    def fake(cfg, member, arena):
+        if member == 0:
+            raise RuntimeError("member 0")
+        time.sleep(0.05)
+        ran.append(member)
+        return run_member(cfg, member, arena)
+
+    monkeypatch.setattr(ensemble, "run_member", fake)
+    cfg = RunConfig(N=8, m=4, t=1, k=2, xi_sq_target=0.5, members=8, workers=2)
+    with pytest.raises(RuntimeError, match="member 0"):
+        run_ensemble(cfg)
+    assert len([member for member in ran if member >= 4]) <= 2, ran
+    if getter is not None:
+        assert getter() == before  # the caller's BLAS threads come back
+
+
+def test_threads_building_the_tables_at_once_give_the_one_worker_sums():
+    # more threads than cores, switching every microsecond, each building the
+    # process's cached bases and tables from cold: one lost or torn table
+    # would change the sums
+    cfg = RunConfig(N=8, m=4, t=1, k=3, xi_sq_target=0.5, members=8, with_moments=True)
+    serial = run_ensemble(cfg)
+    interval = sys.getswitchinterval()
+    for cached in (fock._basis, fock.embedding_plan, fock.compound_plan):
+        cached.cache_clear()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = run_ensemble(replace(cfg, workers=4))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not serial.failures and not pooled.failures
+    for ours, theirs in zip((pooled.strength, pooled.chaos, pooled.moments),
+                            (serial.strength, serial.chaos, serial.moments)):
+        for f in fields(ours):
+            assert np.array_equal(getattr(ours, f.name), getattr(theirs, f.name), equal_nan=True)
+
+
+# Runs a 2-worker ensemble and prints the peak RSS of its finished children
+# (0 when it started none) and which process-pool modules it imported.
+_NO_CHILD_SCRIPT = """
+import resource, sys
+from qstrength import ensemble
+cfg = ensemble.RunConfig(N=8, m=4, t=1, k=2, xi_sq_target=0.5, members=4, workers=2)
+assert not ensemble.run_ensemble(cfg).failures
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
+      *sorted({"multiprocessing", "concurrent.futures.process"} & set(sys.modules)))
+"""
+
+
+def test_pool_starts_no_process():
+    proc = subprocess.run([sys.executable, "-c", _NO_CHILD_SCRIPT], capture_output=True,
+                          text=True, env=subprocess_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
 
 
 def test_pool_without_a_blas_setter_says_so(monkeypatch, capsys):
@@ -177,17 +239,20 @@ def test_member_working_set_is_three_dense_matrices(system):
     assert warm <= 0.25, f"warm member {warm:.3f} d^2 doubles"
 
 
-def test_one_block_runs_on_one_arena(monkeypatch):
+@pytest.mark.parametrize("workers", [1, 3])
+def test_one_block_runs_on_one_arena(monkeypatch, workers):
     calls, arena = [], ensemble._member_arena
     monkeypatch.setattr(ensemble, "_member_arena", lambda cfg: calls.append(cfg) or arena(cfg))
-    cfg = RunConfig(N=8, m=4, t=1, k=2, xi_sq_target=0.5, members=3)
+    cfg = RunConfig(N=8, m=4, t=1, k=2, xi_sq_target=0.5, members=4, workers=workers)
     assert not run_ensemble(cfg).failures
-    assert calls == [cfg]
+    assert calls == [cfg] * min(workers, cfg.members)
 
 
-def test_run_ensemble_leaves_no_arena_in_the_caller():
-    # a member arena is 3 d^2 doubles; what the result holds is O(d) and the bins
-    cfg = RunConfig(N=10, m=5, t=1, k=2, xi_sq_target=0.5, members=3)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_ensemble_leaves_no_arena_in_the_caller(workers):
+    # a member arena is 3 d^2 doubles; what the result holds is O(d) and the
+    # bins, and the pool's threads allocate their arenas in the caller too
+    cfg = RunConfig(N=10, m=5, t=1, k=2, xi_sq_target=0.5, members=3, workers=workers)
     d = fock.build_basis(cfg.N, cfg.m).dim
     assert not run_ensemble(cfg).failures  # builds the cached bases and tables
     tracemalloc.start()
@@ -200,8 +265,9 @@ def test_run_ensemble_leaves_no_arena_in_the_caller():
     assert held < 8 * 0.5 * d * d, f"{held / (8 * d * d):.3f} d^2 doubles left in the caller"
 
 
-def test_pool_sums_do_not_depend_on_the_pre_fork_trim(monkeypatch):
-    cfg = RunConfig(N=8, m=4, t=1, k=2, xi_sq_target=0.5, members=4, workers=2,
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sums_do_not_depend_on_the_trim_before_either_path(monkeypatch, workers):
+    cfg = RunConfig(N=8, m=4, t=1, k=2, xi_sq_target=0.5, members=4, workers=workers,
                     with_moments=True)
     calls, trim = [], ensemble._malloc_trim()
 
