@@ -407,7 +407,8 @@ def main(argv=None) -> int:
     p.add_argument("--members", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--window-width", dest="window_width", type=float)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int,
+                   help="threads that run members (default: the usable cores, %(default)s here)")
     p.add_argument("--moments", action="store_const", const=True,
                    help="also accumulate bivariate trace moments")
     p.add_argument("--out", help="output directory (default current directory)")

@@ -14,11 +14,12 @@ embedded mean field H0, where the unperturbed states |kappa> are unit vectors:
 Either way H = diag(E0) + lam * V' is diagonalized once, and its eigenvectors u
 give the strength W = u * u directly.  Members are completely determined by
 (master seed, member index), so any subset can be recomputed anywhere; worker
-threads only change where a member is computed, never its result.  While a
-pool runs, numpy's OpenBLAS runs on one thread when it exposes a thread
-setter, so the pool's threads do not oversubscribe the cores.  A member's
-LAPACK steps (ctypes calls), BLAS matmuls and large ufuncs and takes run
-without the GIL; the embedding's np.add.at holds it.
+threads only change where a member is computed, never its result.  Every run
+sets numpy's OpenBLAS to one thread while members run, when it exposes a
+thread setter, so the member threads do not oversubscribe the cores and no
+member depends on the caller's BLAS thread count.  A member's LAPACK steps
+(ctypes calls), BLAS matmuls and large ufuncs and takes run without the GIL;
+the embedding's np.add.at holds it.
 
 Each member yields one tuple of partial sums: a StrengthReport (overlap rows
 selected by windows on the standardized H0 spectrum), ChaosMeasures (NPC and
@@ -36,9 +37,9 @@ which holds the eigensolve's workspace and, before and after the solve, every
 other large array of a member; the function that allocates them also places
 every array in them.  _run_members allocates one arena for a contiguous block
 of members, so after the first a member allocates nothing d x d.  After the
-caller's free heap goes back to the system (glibc malloc_trim), one worker
-runs all members as one block in the caller; a pool runs one block per
-thread of the calling process, each on its own arena.
+caller's free heap goes back to the system (glibc malloc_trim), the caller
+runs the first block and a thread of the calling process each other block,
+each on its own arena.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import math
+import os
 import sys
 import threading
 from dataclasses import dataclass
@@ -66,6 +68,13 @@ __all__ = [
 ]
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on, or the CPU count where that is not known."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a simulation needs; exactly one of lam / xi_sq_target is set."""
@@ -83,7 +92,7 @@ class RunConfig:
     grid_lo: float = -3.2
     grid_hi: float = 3.2
     grid_bins: int = 64
-    workers: int = 1
+    workers: int = _usable_cores()
     with_moments: bool = False
 
     def __post_init__(self) -> None:
@@ -266,7 +275,7 @@ def _one_blas_thread():
     setter = _blas_thread_setter()
     getter = spectral.openblas_symbol("scipy_openblas_get_num_threads64_")
     if setter is None or getter is None:
-        print("no OpenBLAS thread setter found: the pool keeps the caller's BLAS threads",
+        print("no OpenBLAS thread setter found: members run on the caller's BLAS threads",
               file=sys.stderr)
         yield
         return
@@ -287,34 +296,62 @@ def _malloc_trim():
     return trim
 
 
+def _join(threads: list[threading.Thread], stop: threading.Event) -> None:
+    """Join every started thread; an interrupt meanwhile sets stop and is raised after."""
+    interrupt = None
+    for thread in threads:
+        while thread.is_alive():
+            try:
+                thread.join()
+            except BaseException as exc:
+                stop.set()
+                interrupt = interrupt or exc
+    if interrupt is not None:
+        raise interrupt
+
+
 def run_ensemble(cfg: RunConfig) -> EnsembleResult:
     """Run all members and reduce their partial sums in member order.
 
-    The caller's free heap first goes back to the system.  One worker runs all
-    members as one block in the caller; a pool of min(workers, members)
-    threads in the calling process runs one contiguous block each, and if the
-    pool raises (a block's error, or an interrupt while the caller waits) the
-    other threads stop after their current member.  Either way no block's
-    arena outlives its block.
+    The caller's free heap first goes back to the system.  The members are cut
+    into min(workers, members) contiguous blocks; the caller runs block 0 and
+    a thread of the calling process each other block, all with numpy's
+    OpenBLAS on one thread.  A block's error, or an interrupt in the caller,
+    stops every block after its current member; once every thread is joined,
+    the first error in block order is raised.  No block's arena outlives its
+    block.
     """
     trim = _malloc_trim()
     if trim is not None:
         trim(0)
+    blocks = min(cfg.workers, cfg.members)
+    cuts = [cfg.members * b // blocks for b in range(blocks + 1)]
+    done: list = [None] * blocks
+    errors: list = [None] * blocks
     stop = threading.Event()
-    if cfg.workers == 1:
-        outcomes = _run_members(cfg, range(cfg.members), stop)
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # one worker never maps it
-        blocks = min(cfg.workers, cfg.members)
-        cuts = [cfg.members * b // blocks for b in range(blocks + 1)]
-        with _one_blas_thread(), ThreadPoolExecutor(max_workers=blocks) as pool:
-            try:
-                done = list(pool.map(_run_members, [cfg] * blocks, map(range, cuts, cuts[1:]),
-                                     [stop] * blocks))
-            except BaseException:
-                stop.set()
-                raise
-        outcomes = [outcome for block in done for outcome in block]
+
+    def run_block(b: int) -> None:
+        try:
+            done[b] = _run_members(cfg, range(cuts[b], cuts[b + 1]), stop)
+        except BaseException as exc:
+            stop.set()
+            errors[b] = exc
+
+    threads = [threading.Thread(target=run_block, args=(b,)) for b in range(1, blocks)]
+    with _one_blas_thread():
+        try:
+            for thread in threads:
+                thread.start()
+            run_block(0)
+        except BaseException:
+            stop.set()
+            raise
+        finally:
+            _join(threads, stop)
+    error = next((exc for exc in errors if exc is not None), None)
+    if error is not None:
+        raise error
+    outcomes = [outcome for block in done for outcome in block]
     sums = outcomes[0][0]
     for partial, _ in outcomes[1:]:
         sums = tuple(total.merge(part) for total, part in zip(sums, partial))

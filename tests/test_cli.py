@@ -574,17 +574,35 @@ def _usable_cpus() -> int:
 @pytest.mark.parametrize("system", [(12, 6, 1, 2), (10, 5, 2, 3)], ids=["t1-d924", "t2-d252"])
 def test_blas_thread_count_does_not_change_bytes(tmp_path, system):
     # t = 1 diagonalizes only H (d = 924 is large enough for threaded kernels);
-    # t = 2 also runs the d x d H0 eigensolve
+    # t = 2 also runs the d x d H0 eigensolve.  One worker and the default
+    # (the usable cores) both run members on one BLAS thread.
     flags = [f"--{name}={value}" for name, value in zip("Nmtk", system)]
     argv = ["simulate", *flags, "--xi-sq", "0.5", "--members", "3", "--seed", "9", "--moments"]
-    for threads in ("1", "2"):
-        proc = cli_subprocess(argv + ["--out", str(tmp_path / threads)],
+    runs = [(threads, workers) for workers in ("1", None) for threads in ("1", "2")]
+    for threads, workers in runs:
+        extra = ["--workers", workers] if workers else []
+        proc = cli_subprocess(argv + extra + ["--out", str(tmp_path / f"{threads}-{workers}")],
                               OPENBLAS_NUM_THREADS=threads)
         assert proc.returncode == 0, proc.stderr
-    names = sim_outputs(tmp_path / "1")
-    assert names == sim_outputs(tmp_path / "2") and "bivariate.csv" in names
-    for name in names:
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+    first = tmp_path / "1-1"
+    names = sim_outputs(first)
+    assert "bivariate.csv" in names
+    for threads, workers in runs[1:]:
+        other = tmp_path / f"{threads}-{workers}"
+        assert sim_outputs(other) == names
+        for name in names:
+            assert (first / name).read_bytes() == (other / name).read_bytes(), (other.name, name)
+
+
+def test_simulate_workers_default_is_the_usable_cores(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_simulate", lambda args: seen.append(args.workers) or 0)
+    assert cli.main(["simulate", "--N", "8", "--m", "4", "--t", "1", "--k", "2"]) == 0
+    assert seen == [cli.ensemble.RunConfig.workers] == [_usable_cpus()]
+    with pytest.raises(SystemExit):
+        cli.main(["simulate", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"default: the usable cores, {_usable_cpus()} here" in help_text
 
 
 def test_npc_and_simulate_do_not_import_scipy(tmp_path):

@@ -6,6 +6,7 @@ definition of the strength matrix.  member_spectra must reproduce its
 eigenvalues and overlaps with one eigensolve of H per member.
 """
 
+import ctypes
 import subprocess
 import sys
 import time
@@ -101,11 +102,12 @@ def test_one_many_body_eigensolve_for_one_body_mean_field(monkeypatch, system, e
     assert calls == {"diagonalize": eigensolves, "embed": embeddings}
 
 
-# Runs a 2-worker ensemble whose members report the BLAS thread count (numpy's
-# bundled OpenBLAS) they run under as their message; prints the caller's count
-# before and after, then the members' counts.  Exits 77 when that OpenBLAS has
-# no thread getter or no setter.
+# Runs an ensemble on the given worker count whose members report the BLAS
+# thread count (numpy's bundled OpenBLAS) they run under as their message;
+# prints the caller's count before and after, then the members' counts.  Exits
+# 77 when that OpenBLAS has no thread getter or no setter.
 _BLAS_SCRIPT = """
+import sys
 from qstrength import ensemble, spectral
 getter = spectral.openblas_symbol("scipy_openblas_get_num_threads64_")
 if getter is None or ensemble._blas_thread_setter() is None:
@@ -115,15 +117,17 @@ def probe(cfg, member, arena):
     return run_member(cfg, member, arena)[0], str(getter())
 ensemble.run_member = probe
 before = getter()
-cfg = ensemble.RunConfig(N=8, m=4, t=1, k=2, xi_sq_target=0.5, members=4, workers=2)
+cfg = ensemble.RunConfig(N=8, m=4, t=1, k=2, xi_sq_target=0.5, members=4,
+                         workers=int(sys.argv[1]))
 workers = [message for _, message in ensemble.run_ensemble(cfg).failures]
 print(before, getter(), *workers)
 """
 
 
-def test_pool_workers_run_one_blas_thread():
-    proc = subprocess.run([sys.executable, "-c", _BLAS_SCRIPT], capture_output=True, text=True,
-                          env=subprocess_env() | {"OPENBLAS_NUM_THREADS": "2"})
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_run_runs_members_on_one_blas_thread(workers):
+    proc = subprocess.run([sys.executable, "-c", _BLAS_SCRIPT, str(workers)], capture_output=True,
+                          text=True, env=subprocess_env() | {"OPENBLAS_NUM_THREADS": "2"})
     if proc.returncode == 77:
         pytest.skip("numpy's OpenBLAS has no scipy_openblas thread getter or setter")
     assert proc.returncode == 0, proc.stderr
@@ -156,11 +160,69 @@ def test_pool_stops_between_members_when_a_block_raises(monkeypatch):
         assert getter() == before  # the caller's BLAS threads come back
 
 
+def test_caller_stops_between_members_when_another_block_raises(monkeypatch):
+    # block 1 (members 4-7) raises at once; the caller's block 0 (members 0-3)
+    # takes 50 ms a member, so it sees the stop after its first member or, at
+    # worst, second
+    getter = spectral.openblas_symbol("scipy_openblas_get_num_threads64_")
+    before = None if getter is None else getter()
+    ran = []
+
+    def fake(cfg, member, arena):
+        if member == 4:
+            raise RuntimeError("member 4")
+        time.sleep(0.05)
+        ran.append(member)
+        return run_member(cfg, member, arena)
+
+    monkeypatch.setattr(ensemble, "run_member", fake)
+    cfg = RunConfig(N=8, m=4, t=1, k=2, xi_sq_target=0.5, members=8, workers=2)
+    with pytest.raises(RuntimeError, match="member 4"):
+        run_ensemble(cfg)
+    assert len([member for member in ran if member < 4]) <= 2, ran
+    if getter is not None:
+        assert getter() == before  # the caller's BLAS threads come back
+
+
+def assert_same_sums(ours, theirs):
+    """Every field of the strength, chaos and moment sums is bit-identical."""
+    for a, b in zip((ours.strength, ours.chaos, ours.moments),
+                    (theirs.strength, theirs.chaos, theirs.moments)):
+        for f in fields(a):
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name), equal_nan=True), f.name
+
+
+def test_sums_do_not_depend_on_the_callers_blas_threads():
+    # d = 924 is large enough for OpenBLAS's threaded kernels to change the
+    # member steps below the 6th digit; 8 threads oversubscribe a small box,
+    # which the setter allows where the environment variable is capped
+    setter = ensemble._blas_thread_setter()
+    getter = spectral.openblas_symbol("scipy_openblas_get_num_threads64_")
+    if setter is None or getter is None:
+        pytest.skip("numpy's OpenBLAS has no scipy_openblas thread getter or setter")
+    setter.argtypes = [ctypes.c_int]
+    cfg = RunConfig(N=12, m=6, t=1, k=2, xi_sq_target=0.5, members=2, seed=9, with_moments=True)
+    threads = getter()
+    try:
+        setter(1)
+        reference = run_ensemble(replace(cfg, workers=1))
+        assert not reference.failures
+        for count in (1, 2, 8):
+            for workers in (1, 2):
+                setter(count)
+                ours = run_ensemble(replace(cfg, workers=workers))
+                assert getter() == count, (count, workers)
+                assert_same_sums(ours, reference)
+    finally:
+        setter(threads)
+
+
 def test_threads_building_the_tables_at_once_give_the_one_worker_sums():
     # more threads than cores, switching every microsecond, each building the
     # process's cached bases and tables from cold: one lost or torn table
     # would change the sums
-    cfg = RunConfig(N=8, m=4, t=1, k=3, xi_sq_target=0.5, members=8, with_moments=True)
+    cfg = RunConfig(N=8, m=4, t=1, k=3, xi_sq_target=0.5, members=8, with_moments=True,
+                    workers=1)
     serial = run_ensemble(cfg)
     interval = sys.getswitchinterval()
     for cached in (fock._basis, fock.embedding_plan, fock.compound_plan):
@@ -171,21 +233,18 @@ def test_threads_building_the_tables_at_once_give_the_one_worker_sums():
     finally:
         sys.setswitchinterval(interval)
     assert not serial.failures and not pooled.failures
-    for ours, theirs in zip((pooled.strength, pooled.chaos, pooled.moments),
-                            (serial.strength, serial.chaos, serial.moments)):
-        for f in fields(ours):
-            assert np.array_equal(getattr(ours, f.name), getattr(theirs, f.name), equal_nan=True)
+    assert_same_sums(pooled, serial)
 
 
 # Runs a 2-worker ensemble and prints the peak RSS of its finished children
-# (0 when it started none) and which process-pool modules it imported.
+# (0 when it started none) and which process or executor modules it imported.
 _NO_CHILD_SCRIPT = """
 import resource, sys
 from qstrength import ensemble
 cfg = ensemble.RunConfig(N=8, m=4, t=1, k=2, xi_sq_target=0.5, members=4, workers=2)
 assert not ensemble.run_ensemble(cfg).failures
 print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
-      *sorted({"multiprocessing", "concurrent.futures.process"} & set(sys.modules)))
+      *sorted({"multiprocessing", "concurrent.futures"} & set(sys.modules)))
 """
 
 
@@ -280,7 +339,4 @@ def test_sums_do_not_depend_on_the_trim_before_either_path(monkeypatch, workers)
     monkeypatch.setattr(ensemble, "_malloc_trim", lambda: None)
     untrimmed = run_ensemble(cfg)
     assert calls == [0] and not trimmed.failures and not untrimmed.failures
-    for ours, theirs in zip((trimmed.strength, trimmed.chaos, trimmed.moments),
-                            (untrimmed.strength, untrimmed.chaos, untrimmed.moments)):
-        for f in fields(ours):
-            assert np.array_equal(getattr(ours, f.name), getattr(theirs, f.name), equal_nan=True)
+    assert_same_sums(trimmed, untrimmed)
