@@ -326,8 +326,7 @@ def run_ensemble(cfg: RunConfig) -> EnsembleResult:
         trim(0)
     blocks = min(cfg.workers, cfg.members)
     cuts = [cfg.members * b // blocks for b in range(blocks + 1)]
-    done: list = [None] * blocks
-    errors: list = [None] * blocks
+    done = [None] * blocks  # each block's outcomes, or what it raised
     stop = threading.Event()
 
     def run_block(b: int) -> None:
@@ -335,7 +334,7 @@ def run_ensemble(cfg: RunConfig) -> EnsembleResult:
             done[b] = _run_members(cfg, range(cuts[b], cuts[b + 1]), stop)
         except BaseException as exc:
             stop.set()
-            errors[b] = exc
+            done[b] = exc
 
     threads = [threading.Thread(target=run_block, args=(b,)) for b in range(1, blocks)]
     with _one_blas_thread():
@@ -348,9 +347,9 @@ def run_ensemble(cfg: RunConfig) -> EnsembleResult:
             raise
         finally:
             _join(threads, stop)
-    error = next((exc for exc in errors if exc is not None), None)
-    if error is not None:
-        raise error
+    for block in done:
+        if isinstance(block, BaseException):
+            raise block
     outcomes = [outcome for block in done for outcome in block]
     sums = outcomes[0][0]
     for partial, _ in outcomes[1:]:
