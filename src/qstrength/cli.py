@@ -37,7 +37,7 @@ def _fmt(value) -> str:
 
 
 def _config_hash(items: dict) -> str:
-    import hashlib  # on first use: its libcrypto adds 3.5 MB to the RSS of every import
+    import hashlib  # keeps libcrypto out of `import qstrength.cli`; numpy.random maps it anyway
     blob = "".join(f"{key}={_fmt(items[key])}\n" for key in sorted(items))
     return hashlib.sha256(blob.encode()).hexdigest()
 

@@ -11,15 +11,15 @@ embedded mean field H0, where the unperturbed states |kappa> are unit vectors:
 * t >= 2: the embedded H0 is diagonalized, H0 = U0 diag(E0) U0^T, and the
   embedded interaction is rotated, V' = U0^T V U0.
 
-Either way H = diag(E0) + lam * V' is diagonalized once, and its eigenvectors u
-give the strength W = u * u directly.  Members are completely determined by
+Either way H = diag(E0) + lam * V' is diagonalized once, and its eigenvectors
+u give the strength W = u * u directly.  Members are completely determined by
 (master seed, member index), so any subset can be recomputed anywhere; worker
 threads only change where a member is computed, never its result.  Every run
-sets numpy's OpenBLAS to one thread while members run, when it exposes a
-thread setter, so the member threads do not oversubscribe the cores and no
-member depends on the caller's BLAS thread count.  A member's LAPACK steps
-(ctypes calls), BLAS matmuls and large ufuncs and takes run without the GIL;
-the embedding's np.add.at holds it.
+only enters spectral.one_blas_thread (spectral owns numpy's OpenBLAS) around
+its blocks, so the member threads do not oversubscribe the cores and no member
+depends on the caller's BLAS thread count.  A member's LAPACK steps (ctypes
+calls), BLAS matmuls and large ufuncs and takes run without the GIL; the
+embedding's np.add.at holds it.
 
 Each member yields one tuple of partial sums: a StrengthReport (overlap rows
 selected by windows on the standardized H0 spectrum), ChaosMeasures (NPC and
@@ -44,11 +44,9 @@ each on its own arena.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import math
 import os
-import sys
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -264,30 +262,6 @@ def _run_members(cfg: RunConfig, members: range, stop: threading.Event) -> list:
     return [run_member(cfg, member, arena) for member in members if not stop.is_set()]
 
 
-def _blas_thread_setter():
-    """The thread-count setter of numpy's OpenBLAS, or None if it has none."""
-    return spectral.openblas_symbol("scipy_openblas_set_num_threads64_")
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """numpy's OpenBLAS runs on one thread inside, and on the caller's count after."""
-    setter = _blas_thread_setter()
-    getter = spectral.openblas_symbol("scipy_openblas_get_num_threads64_")
-    if setter is None or getter is None:
-        print("no OpenBLAS thread setter found: members run on the caller's BLAS threads",
-              file=sys.stderr)
-        yield
-        return
-    getter.restype, setter.argtypes = ctypes.c_int, [ctypes.c_int]
-    threads = getter()
-    setter(1)
-    try:
-        yield
-    finally:
-        setter(threads)
-
-
 def _malloc_trim():
     """glibc's malloc_trim, or None where the C library has none."""
     trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
@@ -313,10 +287,11 @@ def _join(threads: list[threading.Thread], stop: threading.Event) -> None:
 def run_ensemble(cfg: RunConfig) -> EnsembleResult:
     """Run all members and reduce their partial sums in member order.
 
-    The caller's free heap first goes back to the system.  The members are cut
-    into min(workers, members) contiguous blocks; the caller runs block 0 and
-    a thread of the calling process each other block, all with numpy's
-    OpenBLAS on one thread.  A block's error, or an interrupt in the caller,
+    The caller's free heap first goes back to the system (malloc_trim), which
+    returns what the caller freed before the run.  The members are cut into
+    min(workers, members) contiguous blocks; the caller runs block 0 and a
+    thread of the calling process each other block, all inside
+    spectral.one_blas_thread.  A block's error, or an interrupt in the caller,
     stops every block after its current member; once every thread is joined,
     the first error in block order is raised.  No block's arena outlives its
     block.
@@ -337,7 +312,7 @@ def run_ensemble(cfg: RunConfig) -> EnsembleResult:
             done[b] = exc
 
     threads = [threading.Thread(target=run_block, args=(b,)) for b in range(1, blocks)]
-    with _one_blas_thread():
+    with spectral.one_blas_thread():
         try:
             for thread in threads:
                 thread.start()

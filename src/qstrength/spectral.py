@@ -3,20 +3,21 @@
 Each ensemble member is diagonalized once, in the eigenbasis of the mean-field
 operator H0: the unperturbed states |kappa> are unit vectors there, so the
 eigenvector matrix u of H itself gives the squared overlaps W = u * u, a
-doubly stochastic array.  The solve runs the steps LAPACK's dsyevd takes on a
-matrix it does not scale, through numpy's own LAPACK, in the member's own
-matrix, rebuilds the matrix for its residual guard from the triangle those
-steps leave intact, and returns u in the matrix's memory, so it holds three
-d x d arrays.  The workspace and the accumulators' scratch are the caller's,
-sized by diagonalize_work and chaos_work, and W overwrites u, so a caller
-that keeps them allocates nothing d x d per member.  Rows of W, selected by
-windows on the standardized H0 spectrum and binned over the standardized H
-spectrum, give the strength functions F_kappa(E).  Every accumulator keeps
-one contract: its grid fields (windows, edges) are fixed, every other field
-is a raw sum over members (weights, power sums, histograms, traces,
-member_count) starting at zero, and merge() adds two accumulators field by
-field, refusing different grids.  So partial results reduced in member order
-give the same numbers for any split.
+doubly stochastic array.  This module owns numpy's OpenBLAS: the solve's LAPACK
+steps and one_blas_thread's one-thread pinning.  The solve runs the steps
+LAPACK's dsyevd takes on a matrix it does not scale, through numpy's own
+LAPACK, in the member's own matrix, rebuilds the matrix for its residual guard
+from the triangle those steps leave intact, and returns u in the matrix's
+memory, so it holds three d x d arrays.  The workspace and the accumulators'
+scratch are the caller's, sized by diagonalize_work and chaos_work, and W
+overwrites u, so a caller that keeps them allocates nothing d x d per
+member.  Rows of W, selected by windows on the standardized H0 spectrum and
+binned over the standardized H spectrum, give the strength functions
+F_kappa(E).  Every accumulator keeps one contract: its grid fields (windows,
+edges) are fixed, every other field is a raw sum over members (weights, power
+sums, histograms, traces, member_count) starting at zero, and merge() adds two
+accumulators field by field, refusing different grids.  So partial results
+reduced in member order give the same numbers for any split.
 
 Moments of a strength function are always computed from the raw overlap
 weights; histograms are only for display and for the L1 comparison against the
@@ -29,9 +30,11 @@ the H0 eigenbasis tr(H0^P H^Q) = sum_kappa E0_kappa^P (W E^Q)_kappa.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -65,6 +68,25 @@ def openblas_symbol(name: str):
     return getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), name, None)
 
 
+@contextlib.contextmanager
+def one_blas_thread():
+    """numpy's OpenBLAS on one thread inside, the caller's count after, where it can be set."""
+    setter = openblas_symbol("scipy_openblas_set_num_threads64_")
+    getter = openblas_symbol("scipy_openblas_get_num_threads64_")
+    if setter is None or getter is None:
+        print("no OpenBLAS thread setter found: members run on the caller's BLAS threads",
+              file=sys.stderr)
+        yield
+        return
+    getter.restype, setter.argtypes = ctypes.c_int, [ctypes.c_int]
+    threads = getter()
+    setter(1)
+    try:
+        yield
+    finally:
+        setter(threads)
+
+
 # The LAPACK routines dsyevd('V', 'L') runs on a matrix it does not scale, its
 # workspace query first.
 _DSYEVD_STEPS = ("dsyevd", "dsytrd", "dstedc", "dormtr")
@@ -79,6 +101,7 @@ _ORTHONORMAL_TOL = 1e-10
 _STOCHASTIC_TOL = 1e-10
 _RESIDUAL_ROWS = 16  # row block of the residual guard's w u^T
 _MIRROR_ROWS = 32  # row block of the in-place mirror
+_MIRROR_LOWER = np.tril_indices(_MIRROR_ROWS, -1)  # row by row, so a shorter block's is a prefix
 
 
 def _fortran(fn, *args):
@@ -102,7 +125,8 @@ def _mirror_upper(a: np.ndarray) -> None:
     for lo in range(0, len(a), _MIRROR_ROWS):
         hi = lo + _MIRROR_ROWS
         block = a[lo:hi, lo:hi]
-        lower = np.tril_indices(len(block), -1)
+        n = len(block) * (len(block) - 1) // 2
+        lower = _MIRROR_LOWER[0][:n], _MIRROR_LOWER[1][:n]
         block[lower] = block.T[lower]
         a[hi:, lo:hi] = a[lo:hi, hi:].T
 

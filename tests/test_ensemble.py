@@ -110,7 +110,7 @@ _BLAS_SCRIPT = """
 import sys
 from qstrength import ensemble, spectral
 getter = spectral.openblas_symbol("scipy_openblas_get_num_threads64_")
-if getter is None or ensemble._blas_thread_setter() is None:
+if getter is None or spectral.openblas_symbol("scipy_openblas_set_num_threads64_") is None:
     raise SystemExit(77)
 run_member = ensemble.run_member
 def probe(cfg, member, arena):
@@ -196,7 +196,7 @@ def test_sums_do_not_depend_on_the_callers_blas_threads():
     # d = 924 is large enough for OpenBLAS's threaded kernels to change the
     # member steps below the 6th digit; 8 threads oversubscribe a small box,
     # which the setter allows where the environment variable is capped
-    setter = ensemble._blas_thread_setter()
+    setter = spectral.openblas_symbol("scipy_openblas_set_num_threads64_")
     getter = spectral.openblas_symbol("scipy_openblas_get_num_threads64_")
     if setter is None or getter is None:
         pytest.skip("numpy's OpenBLAS has no scipy_openblas thread getter or setter")
@@ -255,10 +255,15 @@ def test_pool_starts_no_process():
     assert proc.stdout.split() == ["0"]
 
 
-def test_pool_without_a_blas_setter_says_so(monkeypatch, capsys):
-    monkeypatch.setattr(ensemble, "_blas_thread_setter", lambda: None)
+@pytest.mark.parametrize("gone", ["scipy_openblas_set_num_threads64_",
+                                  "scipy_openblas_get_num_threads64_"], ids=["setter", "getter"])
+def test_pool_without_a_blas_setter_says_so(monkeypatch, capsys, gone):
+    lookup = spectral.openblas_symbol  # the LAPACK steps still resolve: only the pinning is gone
+    monkeypatch.setattr(spectral, "openblas_symbol",
+                        lambda name: None if name == gone else lookup(name))
     cfg = RunConfig(N=8, m=4, t=1, k=2, xi_sq_target=0.5, members=2, workers=2)
-    assert not run_ensemble(cfg).failures
+    result = run_ensemble(cfg)
+    assert not result.failures and result.strength.member_count == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "no OpenBLAS thread setter" in err
 
