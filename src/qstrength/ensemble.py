@@ -16,10 +16,10 @@ u give the strength W = u * u directly.  Members are completely determined by
 (master seed, member index), so any subset can be recomputed anywhere; worker
 threads only change where a member is computed, never its result.  Every run
 only enters spectral.one_blas_thread (spectral owns numpy's OpenBLAS) around
-its blocks, so the member threads do not oversubscribe the cores and no member
-depends on the caller's BLAS thread count.  A member's LAPACK steps (ctypes
-calls), BLAS matmuls and large ufuncs and takes run without the GIL; the
-embedding's np.add.at holds it.
+its blocks, and overlapping runs pin once, so the member threads do not
+oversubscribe the cores and no member depends on the caller's BLAS thread
+count.  A member's LAPACK steps (ctypes calls), BLAS matmuls and large ufuncs
+and takes run without the GIL; the embedding's np.add.at holds it.
 
 Each member yields one tuple of partial sums: a StrengthReport (overlap rows
 selected by windows on the standardized H0 spectrum), ChaosMeasures (NPC and
@@ -33,13 +33,13 @@ byte-identical for any worker count.
 
 The loop that runs members owns the member arena: H's memory, which holds the
 draw embedded into it, then H, its eigenvectors and W, and one flat work area,
-which holds the eigensolve's workspace and, before and after the solve, every
-other large array of a member; the function that allocates them also places
-every array in them.  _run_members allocates one arena for a contiguous block
-of members, so after the first a member allocates nothing d x d.  After the
-caller's free heap goes back to the system (glibc malloc_trim), the caller
-runs the first block and a thread of the calling process each other block,
-each on its own arena.
+which holds the eigensolve's workspace, before the solve every other large
+array of a member, and after it ChaosMeasures' W^2 and W ln W; the function
+that allocates them also places every array in them.  After the caller's free
+heap goes back to the system (glibc malloc_trim), the caller runs the first
+contiguous block of members and a thread of the calling process each other
+block, each block on one arena of its own, so after the first a member
+allocates nothing d x d.
 """
 
 from __future__ import annotations
@@ -158,7 +158,7 @@ def _member_arena(cfg: RunConfig) -> _Arena:
     after C; v' = C^T g1 C over g1, then the embedding's buffers.  t >= 2: g0
     in H's memory, then its embedding's buffers; after the H0 solve, V with g1
     in its memory, the embedding's buffers after both, then U0^T V after V.
-    The solve's workspace and, after the solve, the accumulators' scratch.
+    The solve's workspace, at least d^2 doubles, and then ChaosMeasures' scratch.
     """
     d, dt, dk = (math.comb(cfg.N, r) for r in (cfg.m, cfg.t, cfg.k))
     if cfg.t == 1:
@@ -167,7 +167,7 @@ def _member_arena(cfg: RunConfig) -> _Arena:
     else:
         drawn, rot, embed = dt, d * d, max(d * d, dk * dk)
         stages = (fock.embed_work(dt), embed + fock.embed_work(dk), 2 * d * d)
-    work = max(spectral.diagonalize_work(d), spectral.chaos_work(d * d), *stages)
+    work = max(spectral.diagonalize_work(d), *stages)
     return _Arena(np.empty(max(d * d, drawn * drawn)), np.empty(work), rot, embed)
 
 
@@ -246,20 +246,11 @@ def run_member(cfg: RunConfig, member: int, arena: _Arena):
     except (np.linalg.LinAlgError, spectral.DiagonalizationError, ValueError) as exc:
         return sums, f"member {member}: {exc}"
     strength, chaos, *moments = sums
-    strength.add_member(e0, e1, spec.overlap_sq, arena.work)
+    strength.add_member(e0, e1, spec.overlap_sq)
     chaos.add_member(e1, spec.overlap_sq, arena.work)
     for acc in moments:
         acc.add_member(spec.e0, spec.e, spec.overlap_sq)
     return sums, None
-
-
-def _run_members(cfg: RunConfig, members: range, stop: threading.Event) -> list:
-    """run_member's outcomes for a contiguous block of members, all on one new arena.
-
-    Once stop is set, the block runs no further member.
-    """
-    arena = _member_arena(cfg)
-    return [run_member(cfg, member, arena) for member in members if not stop.is_set()]
 
 
 def _malloc_trim():
@@ -304,9 +295,11 @@ def run_ensemble(cfg: RunConfig) -> EnsembleResult:
     done = [None] * blocks  # each block's outcomes, or what it raised
     stop = threading.Event()
 
-    def run_block(b: int) -> None:
+    def run_block(b: int) -> None:  # on one new arena, until stop is set
         try:
-            done[b] = _run_members(cfg, range(cuts[b], cuts[b + 1]), stop)
+            arena = _member_arena(cfg)
+            done[b] = [run_member(cfg, member, arena) for member in range(cuts[b], cuts[b + 1])
+                       if not stop.is_set()]
         except BaseException as exc:
             stop.set()
             done[b] = exc

@@ -8,9 +8,9 @@ steps and one_blas_thread's one-thread pinning.  The solve runs the steps
 LAPACK's dsyevd takes on a matrix it does not scale, through numpy's own
 LAPACK, in the member's own matrix, rebuilds the matrix for its residual guard
 from the triangle those steps leave intact, and returns u in the matrix's
-memory, so it holds three d x d arrays.  The workspace and the accumulators'
-scratch are the caller's, sized by diagonalize_work and chaos_work, and W
-overwrites u, so a caller that keeps them allocates nothing d x d per
+memory, so it holds three d x d arrays.  The workspace is the caller's, sized
+by diagonalize_work alone (at least d^2 doubles, which ChaosMeasures reuses),
+and W overwrites u, so a caller that keeps it allocates nothing d x d per
 member.  Rows of W, selected by windows on the standardized H0 spectrum and
 binned over the standardized H spectrum, give the strength functions
 F_kappa(E).  Every accumulator keeps one contract: its grid fields (windows,
@@ -35,6 +35,7 @@ import ctypes
 import functools
 import math
 import sys
+import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -68,9 +69,14 @@ def openblas_symbol(name: str):
     return getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), name, None)
 
 
+_PINNED_LOCK = threading.Lock()
+_PINNED = {"entries": 0, "threads": 0}  # one_blas_thread's uses inside, the count to restore
+
+
 @contextlib.contextmanager
 def one_blas_thread():
-    """numpy's OpenBLAS on one thread inside, the caller's count after, where it can be set."""
+    """numpy's OpenBLAS on one thread inside, the caller's count after, where it can be set;
+    overlapping uses pin once, the first entry saving the count and the last exit restoring it."""
     setter = openblas_symbol("scipy_openblas_set_num_threads64_")
     getter = openblas_symbol("scipy_openblas_get_num_threads64_")
     if setter is None or getter is None:
@@ -78,13 +84,19 @@ def one_blas_thread():
               file=sys.stderr)
         yield
         return
-    getter.restype, setter.argtypes = ctypes.c_int, [ctypes.c_int]
-    threads = getter()
-    setter(1)
+    with _PINNED_LOCK:
+        if _PINNED["entries"] == 0:
+            getter.restype, setter.argtypes = ctypes.c_int, [ctypes.c_int]
+            _PINNED["threads"] = getter()
+            setter(1)
+        _PINNED["entries"] += 1
     try:
         yield
     finally:
-        setter(threads)
+        with _PINNED_LOCK:
+            _PINNED["entries"] -= 1
+            if _PINNED["entries"] == 0:
+                setter(_PINNED["threads"])
 
 
 # The LAPACK routines dsyevd('V', 'L') runs on a matrix it does not scale, its
@@ -338,19 +350,18 @@ class StrengthReport(_Sums):
 
     # -- accumulation ------------------------------------------------------
 
-    def add_member(self, e0_hat: np.ndarray, e_hat: np.ndarray, overlap_sq: np.ndarray,
-                   work: np.ndarray) -> None:
-        """Add one member; a window's rows of W are gathered into the flat float
-        work of at least W.size doubles."""
+    def add_member(self, e0_hat: np.ndarray, e_hat: np.ndarray, overlap_sq: np.ndarray) -> None:
+        """Add one member; a window's rows of W are summed in row order, as
+        W[rows].sum(axis=0) sums them, into one vector."""
         powers = np.array([e_hat, e_hat**2, e_hat**3, e_hat**4])
         for i, (lo, hi) in enumerate(self.windows):
-            sel = (e0_hat >= lo) & (e0_hat < hi)
-            rows = np.flatnonzero(sel)
-            out = work[: rows.size * len(e_hat)].reshape(-1, len(e_hat))
-            w = overlap_sq.take(rows, axis=0, out=out, mode="clip").sum(axis=0)
-            self.n_kappa[i] += int(np.count_nonzero(sel))
+            rows = np.flatnonzero((e0_hat >= lo) & (e0_hat < hi))
+            w = np.zeros(len(e_hat))
+            for row in rows:
+                w += overlap_sq[row]
+            self.n_kappa[i] += rows.size
             self.weight[i] += float(w.sum())
-            self.sum_e0[i] += float(e0_hat[sel].sum())
+            self.sum_e0[i] += float(e0_hat[rows].sum())
             self.power_sums[i] += powers @ w
             self.hist[i] += np.histogram(e_hat, bins=self.edges, weights=w)[0]
         self.member_count += 1
@@ -449,11 +460,6 @@ def centroid_slope(report: StrengthReport, e0_max: float | None = None) -> float
 # chaos measures
 
 
-def chaos_work(size: int) -> int:
-    """Doubles of work ChaosMeasures.add_member uses for a W of size entries, its mask included."""
-    return size + -(-size // 8)
-
-
 @dataclass
 class ChaosMeasures(_Sums):
     """Binned number of principal components and information entropy.
@@ -471,14 +477,14 @@ class ChaosMeasures(_Sums):
     ent_sum: np.ndarray = _sum("bin")
 
     def add_member(self, e_hat: np.ndarray, overlap_sq: np.ndarray, work: np.ndarray) -> None:
-        """Bin one member; its scratch, W^2 and then W ln W, and W > 0 as a
-        mask lie in the flat float work of at least chaos_work(W.size) doubles."""
-        d2 = overlap_sq.size
-        terms = work[:d2].reshape(overlap_sq.shape)
-        positive = work[d2:].view(bool)[:d2].reshape(overlap_sq.shape)
+        """Bin one member; its scratch, W^2 and then W ln W, lies in the flat
+        float work of at least W.size doubles.  W ln W is ln(max(W, smallest
+        subnormal)) W: no positive entry changes, and W = 0 gives a -0.0 that no
+        column sum sees, as every column of a doubly stochastic W has a positive entry."""
+        terms = work[: overlap_sq.size].reshape(overlap_sq.shape)
         ipr = np.sum(np.square(overlap_sq, out=terms), axis=0)
-        terms.fill(0.0)
-        ent_terms = np.log(overlap_sq, out=terms, where=np.greater(overlap_sq, 0.0, out=positive))
+        tiny = np.finfo(float).smallest_subnormal
+        ent_terms = np.log(np.maximum(overlap_sq, tiny, out=terms), out=terms)
         ent_terms *= overlap_sq
         ent = -np.sum(ent_terms, axis=0)
         self.count += np.histogram(e_hat, bins=self.edges)[0]

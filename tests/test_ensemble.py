@@ -9,6 +9,7 @@ eigenvalues and overlaps with one eigensolve of H per member.
 import ctypes
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from dataclasses import fields, replace
@@ -135,6 +136,39 @@ def test_every_run_runs_members_on_one_blas_thread(workers):
     assert workers == [1, 1, 1, 1]
     assert after == before  # the calling process keeps its threads
     assert "no OpenBLAS thread setter" not in proc.stderr
+
+
+def test_overlapping_runs_pin_once_and_restore_the_callers_count():
+    # run A enters, run B enters, A exits: B still runs on one thread, and
+    # after B exits the caller's count is back
+    setter = spectral.openblas_symbol("scipy_openblas_set_num_threads64_")
+    getter = spectral.openblas_symbol("scipy_openblas_get_num_threads64_")
+    if setter is None or getter is None:
+        pytest.skip("numpy's OpenBLAS has no scipy_openblas thread getter or setter")
+    setter.argtypes = [ctypes.c_int]
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+
+    def run_a():
+        with spectral.one_blas_thread():
+            a_in.set()
+            b_in.wait(30)
+        a_out.set()
+
+    threads = getter()
+    try:
+        setter(2)
+        a = threading.Thread(target=run_a)
+        a.start()
+        assert a_in.wait(30)
+        with spectral.one_blas_thread():
+            b_in.set()
+            assert a_out.wait(30)
+            inside = getter()
+        a.join(30)
+        assert not a.is_alive()
+        assert (inside, getter()) == (1, 2)
+    finally:
+        setter(threads)
 
 
 def test_pool_stops_between_members_when_a_block_raises(monkeypatch):

@@ -256,8 +256,8 @@ class TestStandardize:
 
 WINDOWS = np.array([[-0.5, 0.5], [1.0, 2.0]])
 EDGES = np.linspace(-4.0, 4.0, 17)
-# scratch of either accumulator's add_member, for every W below (at most 64 x 64)
-WORK = np.empty(spectral.chaos_work(64 * 64))
+# scratch of ChaosMeasures.add_member, for every W below (at most 64 x 64)
+WORK = np.empty(64 * 64)
 
 
 def _toy_member(seed):
@@ -285,7 +285,7 @@ class TestStrengthReport:
                 [0.1, 0.1, 0.8],
             ]
         )
-        rep.add_member(e0, e1, wsq, WORK)
+        rep.add_member(e0, e1, wsq)
         w = np.array([0.8, 0.6, 0.6])  # column sums over the two in-window rows
         mom = rep.window_moments()
         m1 = np.sum(w * e1) / w.sum()
@@ -302,8 +302,8 @@ class TestStrengthReport:
         second = StrengthReport(WINDOWS, EDGES)
         for seed in range(6):
             e0, e1, wsq = _toy_member(seed)
-            full.add_member(e0, e1, wsq, WORK)
-            (first if seed < 3 else second).add_member(e0, e1, wsq, WORK)
+            full.add_member(e0, e1, wsq)
+            (first if seed < 3 else second).add_member(e0, e1, wsq)
         merged = first.merge(second)
         assert merged.member_count == full.member_count
         np.testing.assert_allclose(merged.power_sums, full.power_sums, rtol=1e-12)
@@ -319,18 +319,39 @@ class TestStrengthReport:
     def test_empty_window_yields_nan(self):
         rep = StrengthReport(np.array([[5.0, 6.0]]), EDGES)
         e0, e1, wsq = _toy_member(0)
-        rep.add_member(e0, e1, wsq, WORK)
+        rep.add_member(e0, e1, wsq)
         assert math.isnan(rep.e0_mean[0])
         assert math.isnan(rep.window_moments()["mean"][0])
 
     def test_f_values_normalized(self):
         rep = StrengthReport(WINDOWS, EDGES)
         for seed in range(4):
-            rep.add_member(*_toy_member(seed), WORK)
+            rep.add_member(*_toy_member(seed))
         widths = np.diff(rep.edges)
         integrals = (rep.f_values() * widths).sum(axis=1)
         # toy spectra lie well inside the grid, so no probability is clipped
         np.testing.assert_allclose(integrals, 1.0, atol=1e-12)
+
+    def test_window_sums_are_the_gathered_rows_summed(self):
+        # every sum is bit for bit what W[rows].sum(axis=0) gives, for windows
+        # of a few rows, of every row, and of none
+        windows = np.array([[-1.0, 0.0], [0.0, 1.0], [-5.0, 5.0], [5.0, 6.0]])
+        rep = StrengthReport(windows, EDGES)
+        e0, e1, wsq = _toy_member(3)
+        rep.add_member(e0, e1, wsq)
+        powers = np.array([e1, e1**2, e1**3, e1**4])
+        want = {"n_kappa": [], "weight": [], "sum_e0": [], "power_sums": [], "hist": []}
+        for lo, hi in windows:
+            rows = np.flatnonzero((e0 >= lo) & (e0 < hi))
+            w = wsq[rows].sum(axis=0)
+            for name, value in (("n_kappa", rows.size), ("weight", w.sum()),
+                                ("sum_e0", e0[rows].sum()), ("power_sums", powers @ w),
+                                ("hist", np.histogram(e1, bins=EDGES, weights=w)[0])):
+                want[name].append(value)
+        assert want["n_kappa"][2:] == [24, 0]
+        for name, values in want.items():
+            expected = 0.0 + np.array(values, dtype=float)  # the sums start at zero
+            assert getattr(rep, name).tobytes() == expected.tobytes(), name
 
     def test_centroid_slope_recovers_synthetic_slope(self):
         centers = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
@@ -338,13 +359,13 @@ class TestStrengthReport:
         e0 = centers.copy()
         e1 = 0.7 * centers  # exact strength centroids at slope 0.7
         wsq = np.eye(5)
-        rep.add_member(e0, e1, wsq, WORK)
+        rep.add_member(e0, e1, wsq)
         assert centroid_slope(rep) == pytest.approx(0.7, rel=1e-12)
         assert centroid_slope(rep, e0_max=1.5) == pytest.approx(0.7, rel=1e-12)
 
     def test_centroid_slope_needs_off_center_windows(self):
         rep = StrengthReport(np.array([[-0.5, 0.5]]), EDGES)
-        rep.add_member(*_toy_member(1), WORK)
+        rep.add_member(*_toy_member(1))
         with pytest.raises(ValueError, match="off-center"):
             centroid_slope(rep, e0_max=0.0)
 
@@ -357,7 +378,7 @@ class TestPredictionHelpers:
         rep = StrengthReport(np.array([[-1.05, -0.95], [0.95, 1.05]]), EDGES)
         e0 = np.array([-1.0, 1.0])
         e1 = np.array([-0.7, 0.7])
-        rep.add_member(e0, e1, np.eye(2), WORK)
+        rep.add_member(e0, e1, np.eye(2))
         pred = window_predictions(rep, self.qs, 6, 1, 2)
         xi = self.qs.xi
         np.testing.assert_allclose(pred["centroid"], [-xi, xi], rtol=1e-12)
@@ -373,14 +394,14 @@ class TestPredictionHelpers:
         centers_x = 0.5 * (edges[:-1] + edges[1:])
         dens = f_cqn(centers_x, 0.0, self.qs.xi, self.qs.q_hv)
         weights = dens * np.diff(edges)
-        rep.add_member(np.zeros(1), centers_x, weights.reshape(1, -1), WORK)
+        rep.add_member(np.zeros(1), centers_x, weights.reshape(1, -1))
         l1 = strength_l1(rep, self.qs)
         assert l1[0] < 5e-3
 
     def test_strength_l1_matches_the_per_window_sums(self):
         # the last window lies beyond the toy spectra, so its row is nan
         rep = StrengthReport(np.array([[-1.0, 0.0], [0.0, 1.0], [5.0, 6.0]]), EDGES)
-        rep.add_member(*_toy_member(2), WORK)
+        rep.add_member(*_toy_member(2))
         f_emp, bench = rep.f_values(), predicted_f_values(rep, self.qs)
         want = [float(np.sum(np.abs(f_emp[i] - bench[i]) * np.diff(EDGES))) for i in range(2)]
         np.testing.assert_array_equal(strength_l1(rep, self.qs), want + [np.nan])
@@ -390,7 +411,7 @@ class TestPredictionHelpers:
         rep = StrengthReport(np.array([[-0.05, 0.05]]), edges)
         centers_x = 0.5 * (edges[:-1] + edges[1:])
         wrong = np.exp(-0.5 * (centers_x / 0.3) ** 2)  # far too narrow
-        rep.add_member(np.zeros(1), centers_x, (wrong / wrong.sum()).reshape(1, -1), WORK)
+        rep.add_member(np.zeros(1), centers_x, (wrong / wrong.sum()).reshape(1, -1))
         assert strength_l1(rep, self.qs)[0] > 0.5
 
 
@@ -412,6 +433,27 @@ class TestChaosMeasures:
         cm.add_member(np.zeros(n), np.eye(n), WORK)
         assert cm.npc()[0] == 1.0
         assert cm.s_info()[0] == 0.0
+
+    def test_zeros_and_subnormals_give_the_masked_sums(self):
+        # W ln W over W > 0 only, with exact zeros in every column, an
+        # unmixed state's column and subnormal overlaps: the sums are bit for
+        # bit those of the mask the accumulator does without
+        edges = np.linspace(-3.0, 3.0, 13)
+        _, e1, wsq = _toy_member(5)
+        wsq[::3] = 0.0
+        wsq[:, 0] = 0.0
+        wsq[7, 0] = 1.0
+        wsq[1::5, 2::2] = np.finfo(float).smallest_subnormal
+        wsq[2::7, 1::3] = 3e-310
+        ent_terms = np.zeros_like(wsq)
+        np.log(wsq, out=ent_terms, where=wsq > 0.0)
+        ent_terms *= wsq
+        ipr, ent = np.sum(np.square(wsq), axis=0), -np.sum(ent_terms, axis=0)
+        cm = ChaosMeasures(edges)
+        cm.add_member(e1, wsq, WORK)
+        for name, weights in (("ipr_sum", ipr), ("ent_sum", ent)):
+            expected = 0.0 + np.histogram(e1, bins=edges, weights=weights)[0]
+            assert getattr(cm, name).tobytes() == expected.tobytes(), name
 
     def test_merge_equals_sequential(self):
         edges = np.linspace(-3.0, 3.0, 13)
