@@ -302,9 +302,9 @@ def cmd_simulate(args) -> int:
     created = [p for p in (out, *out.parents) if not p.exists()]  # deepest first
     out_dir = _out_dir(out)
     result = ensemble.run_ensemble(run_cfg)
+    for member, message in result.failures:
+        print(f"failed member {member} (seed {run_cfg.seed}): {message}", file=sys.stderr)
     if len(result.failures) > 0.01 * run_cfg.members:
-        for member, message in result.failures:
-            print(f"failed member {member} (seed {run_cfg.seed}): {message}", file=sys.stderr)
         for path in created:  # nothing was written: leave no empty --out behind
             try:
                 path.rmdir()

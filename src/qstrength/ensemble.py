@@ -26,10 +26,12 @@ selected by windows on the standardized H0 spectrum), ChaosMeasures (NPC and
 information entropy binned on the standardized H spectrum), and with
 with_moments a BivariateMomentAccumulator of centered trace moments through
 fourth order, which needs only E0, E and W, so H is not kept: its
-eigenvectors overwrite it, and W overwrites them.  The parent merges the
+eigenvectors overwrite it, and W overwrites them.  run_ensemble merges the
 tuples position by position in member order, by the spectral module's sums
 contract (a failed member adds zeros), which makes the final numbers
-byte-identical for any worker count.
+byte-identical for any worker count.  A member fails only by a LinAlgError
+(spectral.DiagonalizationError among them); any other exception is a bug and
+stops the run.
 
 The loop that runs members owns the member arena: H's memory, which holds the
 draw embedded into it, then H, its eigenvectors and W, and one flat work area,
@@ -181,9 +183,10 @@ def member_spectra(cfg: RunConfig, member: int, arena: _Arena) -> MemberSpectra:
 
     H, its eigenvectors and then overlap_sq occupy the given member arena, so
     the arrays returned stay valid until the next member run on that arena,
-    and threads must not run members on one arena at the same time.
-    Raises LinAlgError, DiagonalizationError or ValueError when an
-    eigensolve or the doubly stochastic check fails.
+    and threads must not run members on one arena at the same time.  Raises
+    LinAlgError when an eigensolve does not converge, and its subclass
+    spectral.DiagonalizationError when a solve's guard or the doubly
+    stochastic check of W fails.
     """
     e0, h = _member_hamiltonian(cfg, member, arena)
     e, u = spectral.diagonalize(h, arena.work)
@@ -231,10 +234,11 @@ def _member_hamiltonian(cfg: RunConfig, member: int,
 def run_member(cfg: RunConfig, member: int, arena: _Arena):
     """One member's partial sums (strength, chaos[, moments]) and an error or None.
 
-    arena is a _member_arena(cfg), whose arrays the member overwrites.
-
-    A failed eigensolve or overlap check returns the sums still at zero
-    (member_count 0) with its message; otherwise each has member_count 1.
+    arena is a _member_arena(cfg), whose arrays the member overwrites.  A
+    member that raises LinAlgError (an eigensolve that does not converge, or
+    spectral.DiagonalizationError) returns the sums still at zero (member_count
+    0) with str() of the exception; otherwise each has member_count 1.  Any
+    other exception propagates: no valid member raises one.
     """
     sums = (spectral.StrengthReport(cfg.windows(), cfg.edges()),
             spectral.ChaosMeasures(cfg.edges()))
@@ -242,9 +246,9 @@ def run_member(cfg: RunConfig, member: int, arena: _Arena):
         sums += (spectral.BivariateMomentAccumulator(),)
     try:
         spec = member_spectra(cfg, member, arena)
-        e0, e1 = spectral.standardize(spec.e0), spectral.standardize(spec.e)
-    except (np.linalg.LinAlgError, spectral.DiagonalizationError, ValueError) as exc:
-        return sums, f"member {member}: {exc}"
+    except np.linalg.LinAlgError as exc:
+        return sums, str(exc)
+    e0, e1 = spectral.standardize(spec.e0), spectral.standardize(spec.e)
     strength, chaos, *moments = sums
     strength.add_member(e0, e1, spec.overlap_sq)
     chaos.add_member(e1, spec.overlap_sq, arena.work)
@@ -333,14 +337,8 @@ def run_checks(result: EnsembleResult) -> list[tuple[str, bool, str]]:
     Returns (name, passed, detail) triples; strength checks compare against the
     finite-N predictions, so they are meaningful for any config with 0 < xi < 1.
     """
-    checks: list[tuple[str, bool, str]] = []
-    checks.append(
-        (
-            "members-completed",
-            not result.failures,
-            f"{result.config.members - len(result.failures)}/{result.config.members}",
-        )
-    )
+    checks = [("members-completed", not result.failures,
+               f"{result.config.members - len(result.failures)}/{result.config.members}")]
     rep = result.strength
     qs = result.system.qs_finite
     if qs is None:

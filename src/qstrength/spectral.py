@@ -59,8 +59,9 @@ __all__ = [
 ]
 
 
-class DiagonalizationError(RuntimeError):
-    """Eigen-decomposition failed its reconstruction or orthonormality check."""
+class DiagonalizationError(np.linalg.LinAlgError):
+    """A solve failed its residual or orthonormality guard, or a W is not doubly stochastic;
+    a LinAlgError (so a ValueError), the one family of exceptions a member may fail by."""
 
 
 @functools.cache
@@ -216,13 +217,13 @@ def diagonalize(mat: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarr
     0 < |a| < _RMIN or |a| > _RMAX), a non-finite one, d = 1, where dsyevd
     returns before its steps, and any matrix where numpy's LAPACK lacks a step.
     The reconstruction residual ||A u - u w|| and the Gram deviation of u are
-    verified, NaN failing both; failures raise DiagonalizationError (a
-    LinAlgError from a non-converging solver propagates).
+    verified, NaN failing both; failures raise DiagonalizationError, a solver
+    that does not converge LinAlgError, and a mat that is not square ValueError.
     """
     mat = np.require(mat, dtype=float, requirements="CW")
     d = len(mat)
     if mat.shape != (d, d):
-        raise np.linalg.LinAlgError(f"matrix must be square, got shape {mat.shape}")
+        raise ValueError(f"matrix must be square, got shape {mat.shape}")
     steps = _lapack_steps()
     lwork, liwork = _dsyevd_lengths(d, steps)
     if not (work.dtype == np.float64 and work.ndim == 1 and work.flags.c_contiguous
@@ -263,18 +264,18 @@ def overlaps(u: np.ndarray) -> np.ndarray:
 
     u holds the eigenvectors |E> as columns, written in the basis of the
     unperturbed states |kappa>, so W = u * u elementwise.  Both row sums (fixed
-    kappa) and column sums (fixed E) must equal 1 within _STOCHASTIC_TOL; this
-    is the doubly stochastic contract every downstream accumulator relies on.
+    kappa) and column sums (fixed E) must equal 1 within _STOCHASTIC_TOL, NaN
+    failing, or DiagonalizationError is raised: this is the doubly stochastic
+    contract every downstream accumulator relies on.  A u that is not square
+    raises ValueError.
     """
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"eigenvector matrix must be square, got shape {u.shape}")
     wsq = np.multiply(u, u, out=u)
-    dev = max(
-        float(np.max(np.abs(wsq.sum(axis=0) - 1.0))),
-        float(np.max(np.abs(wsq.sum(axis=1) - 1.0))),
-    )
+    dev = max(float(np.max(np.abs(wsq.sum(axis=0) - 1.0))),
+              float(np.max(np.abs(wsq.sum(axis=1) - 1.0))))
     if not dev <= _STOCHASTIC_TOL:
-        raise ValueError(f"overlap matrix not doubly stochastic: deviation {dev:.3e}")
+        raise DiagonalizationError(f"overlap matrix not doubly stochastic: deviation {dev:.3e}")
     return wsq
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from qstrength import bca, cli
+from qstrength import bca, cli, spectral
 from qstrength.qnormal import f_qn
 
 
@@ -528,7 +528,7 @@ def test_centre_window_alone_is_not_an_off_center_window(tmp_path):
 @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
 def test_failed_members_leave_no_empty_out_behind(tmp_path, monkeypatch, existing):
     def fail(cfg, member, arena):
-        raise ValueError("forced failure")
+        raise spectral.DiagonalizationError("forced failure")
 
     monkeypatch.setattr(cli.ensemble, "member_spectra", fail)
     out = tmp_path / "runs" / "a"
@@ -542,12 +542,32 @@ def test_failed_members_leave_no_empty_out_behind(tmp_path, monkeypatch, existin
         assert not any(out.iterdir())
 
 
+def test_one_failed_member_in_200_is_reported_once_and_the_run_written(tmp_path, monkeypatch):
+    spectra = cli.ensemble.member_spectra
+
+    def fail_member_3(cfg, member, arena):
+        if member == 3:
+            raise spectral.DiagonalizationError("forced failure")
+        return spectra(cfg, member, arena)
+
+    monkeypatch.setattr(cli.ensemble, "member_spectra", fail_member_3)
+    code, _, err = run_cli(["simulate", *SMALL_SYSTEM, "--members", "200", "--out",
+                            str(tmp_path)])
+    assert code == 0
+    assert sim_outputs(tmp_path) == ["moments.csv", "npc.csv", "params.csv",
+                                     "strength_functions.csv"]
+    lines = [line for line in err.splitlines() if not line.startswith("no OpenBLAS thread")]
+    assert lines == ["failed member 3 (seed 2024): forced failure"]
+    _, _, rows = read_csv(tmp_path / "params.csv")
+    assert ["members_failed", "1"] in rows
+
+
 def test_failed_members_keep_an_out_written_into_during_the_run(tmp_path, monkeypatch):
     out = tmp_path / "runs" / "a"
 
     def fail(cfg, member, arena):
         (out / "other.txt").write_text("written by another process\n")
-        raise ValueError("forced failure")
+        raise spectral.DiagonalizationError("forced failure")
 
     monkeypatch.setattr(cli.ensemble, "member_spectra", fail)
     with pytest.raises(SystemExit, match="^4 of 4 members failed"):

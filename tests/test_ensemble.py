@@ -218,6 +218,39 @@ def test_caller_stops_between_members_when_another_block_raises(monkeypatch):
         assert getter() == before  # the caller's BLAS threads come back
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_value_error_in_a_member_stops_the_run(monkeypatch, workers):
+    # a ValueError is a bug, not a failed member: no member is dropped from the sums
+    build = ensemble._member_hamiltonian
+
+    def fake(cfg, member, arena):
+        if member == 5:
+            raise ValueError("forced bug in member 5")
+        return build(cfg, member, arena)
+
+    monkeypatch.setattr(ensemble, "_member_hamiltonian", fake)
+    cfg = RunConfig(N=8, m=4, t=1, k=2, xi_sq_target=0.5, members=8, workers=workers)
+    with pytest.raises(ValueError, match="forced bug in member 5"):
+        run_ensemble(cfg)
+
+
+def test_members_failing_the_overlap_check_are_failures(monkeypatch):
+    solve = spectral.diagonalize
+
+    def off_by_a_tenth(mat, work):
+        w, u = solve(mat, work)
+        u *= 1.1
+        return w, u
+
+    monkeypatch.setattr(ensemble.spectral, "diagonalize", off_by_a_tenth)
+    cfg = RunConfig(N=8, m=4, t=1, k=2, xi_sq_target=0.5, members=4, workers=2)
+    result = run_ensemble(cfg)
+    assert [member for member, _ in result.failures] == [0, 1, 2, 3]
+    for _, message in result.failures:
+        assert message.startswith("overlap matrix not doubly stochastic: deviation ")
+    assert result.strength.member_count == 0 and result.chaos.member_count == 0
+
+
 def assert_same_sums(ours, theirs):
     """Every field of the strength, chaos and moment sums is bit-identical."""
     for a, b in zip((ours.strength, ours.chaos, ours.moments),

@@ -144,6 +144,18 @@ def test_a_workspace_diagonalize_cannot_use_is_refused(case, bad):
         diagonalize(mat.copy(), work)
 
 
+@pytest.mark.parametrize("call", [lambda: diagonalize(np.zeros((3, 2)), np.empty(64)),
+                                  lambda: diagonalize(np.eye(3), np.empty(1)),
+                                  lambda: overlaps(np.eye(4)[:, :3])],
+                         ids=["diagonalize-not-square", "diagonalize-short-work",
+                              "overlaps-not-square"])
+def test_a_bad_argument_is_a_value_error_and_no_member_failure(call):
+    # a member fails only by a LinAlgError, so a bad argument stops the run
+    with pytest.raises(ValueError) as info:
+        call()
+    assert not isinstance(info.value, np.linalg.LinAlgError)
+
+
 @needs_lapack
 @pytest.mark.parametrize("case", ["member-12-6-1-2", "rotated-8-4-2-3", "d-1"])
 def test_eigh_fallback_matches_the_lapack_solve(monkeypatch, case):
@@ -233,6 +245,13 @@ class TestOverlaps:
         u_bad = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(ValueError, match="doubly stochastic"):
             overlaps(u_bad.T @ u_bad)
+
+    def test_not_doubly_stochastic_is_a_diagonalization_error(self):
+        # a LinAlgError, which a member fails by, and so still a ValueError
+        with pytest.raises(DiagonalizationError, match="doubly stochastic") as info:
+            overlaps(np.array([[1.0, 0.5], [0.0, 1.0]]))
+        assert isinstance(info.value, np.linalg.LinAlgError)
+        assert isinstance(info.value, ValueError)
 
 
 class TestStandardize:
