@@ -89,30 +89,20 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError:
         raise SystemExit(f"bad grid spec {text!r}; expected lo:hi:count")
-    if not lo < hi or n < 1:
-        raise SystemExit(f"bad grid spec {text!r}; need lo < hi and count >= 1")
-    return lo, hi, n
-
-
-def _finite_grid(args) -> tuple[float, float, int]:
-    """(lo, hi, count) of the --grid of params, npc or qnormal.
-
-    A non-finite grid bound or --windows center exits with one line; simulate
-    leaves these checks to RunConfig, whose message names the field.
-    """
-    lo, hi, n = _parse_grid(args.grid)
-    if not np.all(np.isfinite((lo, hi))):
-        raise SystemExit(f"bad grid spec {args.grid!r}; need finite bounds")
-    if not np.all(np.isfinite(getattr(args, "windows", ()))):
-        raise SystemExit(f"bad window list {args.windows}; need finite centers")
+    if not -np.inf < lo < hi < np.inf or n < 1:
+        raise SystemExit(f"bad grid spec {text!r}; need finite lo < hi and count >= 1")
     return lo, hi, n
 
 
 def _parse_centers(text: str) -> tuple[float, ...]:
+    """The --windows type, which also converts a --config value: comma-separated finite numbers."""
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+        centers = tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise SystemExit(f"bad window list {text!r}; expected comma-separated numbers")
+    if not np.all(np.isfinite(centers)):
+        raise SystemExit(f"bad window list {text!r}; need finite centers")
+    return centers
 
 
 def _load_config_file(path: str, keys) -> dict:
@@ -206,7 +196,7 @@ def _config_items(args, keys) -> dict:
 
 def cmd_params(args) -> int:
     params = _system(args)
-    _finite_grid(args)
+    _parse_grid(args.grid)
     qs = params.qs_finite
     items = _coupling_block(params, args.xi_sq) | {"predictions_enabled": qs is not None}
     tables = {"params.csv": _key_values(items)}
@@ -223,7 +213,7 @@ def cmd_params(args) -> int:
 
 
 def cmd_qnormal(args) -> int:
-    x = np.linspace(*_finite_grid(args))
+    x = np.linspace(*_parse_grid(args.grid))
     items = {"grid": args.grid, "q": args.q}
     if (args.y is None) != (args.xi is None):
         raise SystemExit("--y and --xi must be supplied together")
@@ -248,7 +238,7 @@ def cmd_npc(args) -> int:
     qs = params.qs_finite
     if qs is None:
         raise SystemExit("NPC curve needs 0 < xi^2 < 1 (nonzero coupling)")
-    x = np.linspace(*_finite_grid(args))
+    x = np.linspace(*_parse_grid(args.grid))
     _write_csv(args.out, _meta_lines(_config_items(args, _PARAM_KEYS)),
                {"x": x, "npc": spectral.npc_integral(x, qs, dim=params.dim)})
     return 0

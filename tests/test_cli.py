@@ -387,8 +387,8 @@ class TestSimulate:
         assert "FAIL" in out
 
     @pytest.mark.parametrize("flag", [
-        "--windows=,", "--window-width=0", "--windows=nan", "--window-width=nan",
-        "--grid=-inf:3:8", "--N=30 --m=15", "--N=70 --m=2", "--seed=-1", "--N=4 --m=4",
+        "--windows=,", "--window-width=0", "--window-width=nan",
+        "--N=30 --m=15", "--N=70 --m=2", "--seed=-1", "--N=4 --m=4",
     ])
     def test_bad_run_config_exits_without_traceback(self, tmp_path, flag):
         proc = cli_subprocess(SIM_ARGS + flag.split() + ["--check", "--out", str(tmp_path)])
@@ -450,22 +450,50 @@ def test_invalid_system_exits_without_traceback(tmp_path, command, system, coupl
 SMALL_SYSTEM = ["--N", "8", "--m", "4", "--t", "1", "--k", "2", "--xi-sq", "0.5"]
 
 
-@pytest.mark.parametrize("argv, reason", [
-    (["npc", *SMALL_SYSTEM, "--grid=-inf:1:3"], "bad grid spec"),
-    (["npc", *SMALL_SYSTEM, "--windows=0,nan"], "bad window list"),
-    (["qnormal", "--q", "0.5", "--grid=-1:inf:3"], "bad grid spec"),
-    (["qnormal", "--q", "0.5", "--y", "0", "--xi", "0.5", "--grid=nan:1:3"], "bad grid spec"),
-    (["params", *SMALL_SYSTEM, "--windows=inf,nan"], "bad window list"),
-    (["params", *SMALL_SYSTEM, "--grid=-1:inf:3"], "bad grid spec"),
-], ids=["npc-grid", "npc-windows", "qnormal-grid", "qnormal-conditional-grid",
-        "params-windows", "params-grid"])
-def test_non_finite_grid_or_windows_exits_without_traceback(tmp_path, argv, reason):
-    # simulate's RunConfig rejects these too (test_bad_run_config_exits_without_traceback)
+def assert_exits_with_one_line(tmp_path: Path, argv: list[str], reason: str) -> None:
+    """argv with an --out under tmp_path exits nonzero on one stderr line, creating no --out."""
     proc = cli_subprocess([*argv, "--out", str(tmp_path / "out")])
     assert proc.returncode != 0
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(reason) and proc.stderr.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["npc", *SMALL_SYSTEM, "--grid=-inf:1:3"], "bad grid spec '-inf:1:3'"),
+    (["npc", *SMALL_SYSTEM, "--windows=0,nan"], "bad window list '0,nan'"),
+    (["qnormal", "--q", "0.5", "--grid=-1:inf:3"], "bad grid spec '-1:inf:3'"),
+    (["qnormal", "--q", "0.5", "--y", "0", "--xi", "0.5", "--grid=nan:1:3"],
+     "bad grid spec 'nan:1:3'"),
+    (["params", *SMALL_SYSTEM, "--windows=inf,nan"], "bad window list 'inf,nan'"),
+    (["params", *SMALL_SYSTEM, "--grid=-1:inf:3"], "bad grid spec '-1:inf:3'"),
+    (["simulate", *SMALL_SYSTEM, "--windows=nan"], "bad window list 'nan'"),
+    (["simulate", *SMALL_SYSTEM, "--grid=-inf:3:8"], "bad grid spec '-inf:3:8'"),
+], ids=["npc-grid", "npc-windows", "qnormal-grid", "qnormal-conditional-grid",
+        "params-windows", "params-grid", "simulate-windows", "simulate-grid"])
+def test_non_finite_grid_or_windows_exits_without_traceback(tmp_path, argv, reason):
+    assert_exits_with_one_line(tmp_path, argv, reason)
+
+
+@pytest.mark.parametrize("command", ["simulate", "params", "npc"])
+@pytest.mark.parametrize("line, reason", [
+    ("windows = 0,nan", "bad window list '0,nan'"),
+    ("grid = -inf:1:3", "bad grid spec '-inf:1:3'"),
+], ids=["windows", "grid"])
+def test_non_finite_config_grid_or_windows_exits_without_traceback(tmp_path, command, line,
+                                                                    reason):
+    config = tmp_path / "run.cfg"
+    config.write_text(line + "\n")
+    assert_exits_with_one_line(tmp_path, [command, *SMALL_SYSTEM, "--config", str(config)],
+                               reason)
+
+
+@pytest.mark.parametrize("command", ["simulate", "params", "npc", "qnormal"])
+@pytest.mark.parametrize("grid", ["3:1:8", "-1:1:0"], ids=["lo>=hi", "count<1"])
+def test_empty_grid_exits_without_traceback(tmp_path, command, grid):
+    args = ["--q", "0.5"] if command == "qnormal" else SMALL_SYSTEM
+    assert_exits_with_one_line(tmp_path, [command, *args, f"--grid={grid}"],
+                               f"bad grid spec {grid!r}")
 
 
 # each case's command and its --out, relative to a directory holding the file "file"

@@ -28,12 +28,18 @@ def commands() -> dict[str, list[str]]:
     for system in ((12, 6, 1, 2), (12, 6, 1, 4), (24, 8, 2, 3)):
         for cmd in ("params", "npc"):
             cmds[f"{cmd}-{'-'.join(map(str, system))}"] = [cmd, *_system(*system), "--xi-sq", "0.5"]
+    for cmd in ("params", "npc"):
+        cmds[f"{cmd}-12-6-1-2-windows-grid"] = [cmd, *_system(12, 6, 1, 2), "--xi-sq", "0.5",
+                                                "--windows=-1.5,0,1.5", "--grid=-2.5:2.5:21"]
     cmds["qnormal"] = ["qnormal", "--q", "0.5"]
     cmds["qnormal-conditional"] = ["qnormal", "--q", "0.5", "--y", "0.9", "--xi", "0.7"]
+    cmds["qnormal-grid"] = ["qnormal", "--q", "0.3", "--grid=-2:2:17"]
     for system, extra in (((12, 6, 1, 2), ["--xi-sq", "0.5", "--members", "8"]),
                           ((12, 6, 1, 4), ["--xi-sq", "0.5", "--members", "12", "--moments"]),
                           ((10, 5, 2, 3), ["--xi-sq", "0.5", "--members", "8", "--moments"]),
-                          ((8, 4, 1, 2), ["--lambda", "0"])):
+                          ((8, 4, 1, 2), ["--lambda", "0"]),
+                          ((10, 5, 1, 3), ["--xi-sq", "0.5", "--members", "8", "--windows=-1,0,1",
+                                           "--window-width", "0.3", "--grid=-3:3:24"])):
         for workers in (1, 2, 3):
             cmds[f"simulate-{'-'.join(map(str, system))}-w{workers}"] = [
                 "simulate", *_system(*system), *extra, "--check", "--workers", str(workers)]
