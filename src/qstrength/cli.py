@@ -95,13 +95,14 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
 
 
 def _parse_centers(text: str) -> tuple[float, ...]:
-    """The --windows type, which also converts a --config value: comma-separated finite numbers."""
+    """The --windows type, also for --config values: one or more comma-separated finite numbers."""
     try:
         centers = tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise SystemExit(f"bad window list {text!r}; expected comma-separated numbers")
-    if not np.all(np.isfinite(centers)):
-        raise SystemExit(f"bad window list {text!r}; need finite centers")
+    if not centers or not np.all(np.isfinite(centers)):
+        need = "finite centers" if centers else "at least one center"
+        raise SystemExit(f"bad window list {text!r}; need {need}")
     return centers
 
 
@@ -324,7 +325,7 @@ def cmd_simulate(args) -> int:
     _write_tables(out_dir, meta, tables)
 
     if args.check:
-        checks = ensemble.run_checks(result)
+        checks = ensemble.run_checks(result, tables)
         for name, ok, detail in checks:
             print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
         return 0 if all(ok for _, ok, _ in checks) else 1

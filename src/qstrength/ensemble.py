@@ -331,32 +331,29 @@ def run_ensemble(cfg: RunConfig) -> EnsembleResult:
     return EnsembleResult(cfg, cfg.system(), sums[0], sums[1], moments, failures)
 
 
-def run_checks(result: EnsembleResult) -> list[tuple[str, bool, str]]:
-    """Tolerance checks mirroring the package's acceptance gates.
+def run_checks(result: EnsembleResult, tables: dict) -> list[tuple[str, bool, str]]:
+    """Tolerance checks mirroring the package's acceptance gates, as (name, passed, detail).
 
-    Returns (name, passed, detail) triples; strength checks compare against the
-    finite-N predictions, so they are meaningful for any config with 0 < xi < 1.
+    They judge tables, the {file name: {column: values}} mapping a run writes: at
+    lam = 0 npc.csv's npc_mc and s_info_mc, else moments.csv's e0_mean, variance,
+    gamma1, gamma1_pred, gamma2, gamma2_pred and l1_distance (finite-N predictions,
+    so any config with 0 < xi < 1); the centroid slope is fitted to result.strength.
     """
     checks = [("members-completed", not result.failures,
                f"{result.config.members - len(result.failures)}/{result.config.members}")]
-    rep = result.strength
     qs = result.system.qs_finite
     if qs is None:
-        npc = result.chaos.npc()
-        good = np.nanmax(np.abs(npc - 1.0)) == 0.0 and np.nanmax(result.chaos.s_info()) == 0.0
+        npc, s_info = tables["npc.csv"]["npc_mc"], tables["npc.csv"]["s_info_mc"]
+        good = np.nanmax(np.abs(npc - 1.0)) == 0.0 and np.nanmax(s_info) == 0.0
         checks.append(("uncoupled-npc-unity", bool(good), "NPC=1, S_info=0 required at lam=0"))
         return checks
-    cfg = result.config
-    xi = qs.xi
-    mom = rep.window_moments()
-    pred = spectral.window_predictions(rep, qs, cfg.m, cfg.t, cfg.k)
+    mom = tables["moments.csv"]
     e0 = mom["e0_mean"]
-    ok_w = np.isfinite(e0)
 
     try:
-        slope = spectral.centroid_slope(rep, e0_max=2.0)
-        checks.append(("centroid-slope", abs(slope - xi) <= 0.03 * xi,
-                       f"slope={slope:.4f} xi={xi:.4f}"))
+        slope = spectral.centroid_slope(result.strength, e0_max=2.0)
+        checks.append(("centroid-slope", abs(slope - qs.xi) <= 0.03 * qs.xi,
+                       f"slope={slope:.4f} xi={qs.xi:.4f}"))
     except ValueError as exc:
         checks.append(("centroid-slope", False, str(exc)))
 
@@ -365,24 +362,24 @@ def run_checks(result: EnsembleResult) -> list[tuple[str, bool, str]]:
         return dev <= 0.05, f"max rel dev {dev:.3f}"
 
     def gamma1_windows(sel):
-        g_emp, g_pred = mom["gamma1"][sel], pred["gamma1"][sel]
+        g_emp, g_pred = mom["gamma1"][sel], mom["gamma1_pred"][sel]
         rel = np.max(np.abs(g_emp - g_pred) / np.abs(g_pred))
         signs = np.all(np.sign(g_emp) == -np.sign(e0[sel]))
         return rel <= 0.10 and signs, f"max rel dev {rel:.3f}, sign flip {signs}"
 
     def gamma2_windows(sel):
-        g2dev = np.max(np.abs(mom["gamma2"][sel] - pred["gamma2"][sel]))
+        g2dev = np.max(np.abs(mom["gamma2"][sel] - mom["gamma2_pred"][sel]))
         return g2dev <= 0.15, f"max abs dev {g2dev:.3f}"
 
     def strength_l1(sel):
-        l1 = spectral.strength_l1(rep, qs)[sel]
+        l1 = mom["l1_distance"][sel]
         return np.nanmax(l1) < 0.1, f"max L1 {np.nanmax(l1):.3f}"
 
     for name, lo, hi, gate in (("variance-flat", 0.0, 2.0, variance_flat),
                                ("gamma1-windows", 0.25, 1.5, gamma1_windows),
                                ("gamma2-windows", 0.0, 2.0, gamma2_windows),
                                ("strength-l1", 0.0, 1.0, strength_l1)):
-        sel = ok_w & (np.abs(e0) >= lo) & (np.abs(e0) <= hi)
+        sel = np.isfinite(e0) & (np.abs(e0) >= lo) & (np.abs(e0) <= hi)
         passed, detail = (gate(sel) if np.any(sel)
                           else (False, f"no window with |e0| in [{lo:g}, {hi:g}]"))
         checks.append((name, bool(passed), detail))

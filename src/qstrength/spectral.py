@@ -112,7 +112,6 @@ _RMIN, _RMAX = math.sqrt(_SMLNUM), math.sqrt(1.0 / _SMLNUM)
 _RESIDUAL_TOL = 1e-9
 _ORTHONORMAL_TOL = 1e-10
 _STOCHASTIC_TOL = 1e-10
-_RESIDUAL_ROWS = 16  # row block of the residual guard's w u^T
 _MIRROR_ROWS = 32  # row block of the in-place mirror
 _MIRROR_LOWER = np.tril_indices(_MIRROR_ROWS, -1)  # row by row, so a shorter block's is a prefix
 
@@ -240,12 +239,7 @@ def diagonalize(mat: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarr
         ut, r = u.T, work[: d * d].reshape(d, d)
     scale = float(np.linalg.norm(mat))
     np.matmul(ut, mat, out=r)  # (A u)^T, A being symmetric
-    block = np.empty((min(d, _RESIDUAL_ROWS), d))
-    for lo in range(0, d, _RESIDUAL_ROWS):  # r -= w u^T; a broadcasting ufunc allocates buffers
-        rows = slice(lo, lo + _RESIDUAL_ROWS)
-        np.copyto(b := block[: len(r[rows])], w[rows, None])
-        b *= ut[rows]
-        r[rows] -= b
+    r -= np.einsum("ij,i->ij", ut, w, out=mat)  # w u^T over A, which u overwrites next
     resid = float(np.linalg.norm(r))
     if not resid <= _RESIDUAL_TOL * max(scale, 1e-300):
         raise DiagonalizationError(f"reconstruction residual {resid:.3e} vs scale {scale:.3e}")

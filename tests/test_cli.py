@@ -387,7 +387,7 @@ class TestSimulate:
         assert "FAIL" in out
 
     @pytest.mark.parametrize("flag", [
-        "--windows=,", "--window-width=0", "--window-width=nan",
+        "--window-width=0", "--window-width=nan",
         "--N=30 --m=15", "--N=70 --m=2", "--seed=-1", "--N=4 --m=4",
     ])
     def test_bad_run_config_exits_without_traceback(self, tmp_path, flag):
@@ -488,6 +488,16 @@ def test_non_finite_config_grid_or_windows_exits_without_traceback(tmp_path, com
                                reason)
 
 
+@pytest.mark.parametrize("command", ["simulate", "params", "npc"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_empty_window_list_exits_without_traceback(tmp_path, command, source):
+    # cli owns the window rule in every command; RunConfig's check is for library callers
+    config = tmp_path / "run.cfg"
+    config.write_text("windows = ,\n")
+    flags = ["--windows=,"] if source == "flag" else ["--config", str(config)]
+    assert_exits_with_one_line(tmp_path, [command, *SMALL_SYSTEM, *flags], "bad window list ','")
+
+
 @pytest.mark.parametrize("command", ["simulate", "params", "npc", "qnormal"])
 @pytest.mark.parametrize("grid", ["3:1:8", "-1:1:0"], ids=["lo>=hi", "count<1"])
 def test_empty_grid_exits_without_traceback(tmp_path, command, grid):
@@ -543,6 +553,40 @@ def test_check_reports_a_gate_without_windows_as_fail(tmp_path, windows):
         "gamma2-windows", "strength-l1"]
     assert {verdict for verdict, _ in verdicts} <= {"PASS", "FAIL"}
     assert "FAIL  gamma1-windows: no window with |e0| in [0.25, 1.5]" in proc.stdout
+
+
+def test_check_judges_the_moment_table_it_writes(tmp_path, monkeypatch):
+    # four members miss gamma2 by far; a table that says otherwise passes the gate
+    moment_table = cli._moment_table
+
+    def gamma2_as_predicted(*args):
+        table = moment_table(*args)
+        return table | {"gamma2": table["gamma2_pred"]}
+
+    monkeypatch.setattr(cli, "_moment_table", gamma2_as_predicted)
+    code, out, _ = run_cli(["simulate", *SMALL_SYSTEM, "--members", "4", "--seed", "7",
+                            "--check", "--out", str(tmp_path)])
+    assert code == 1
+    assert "PASS  gamma2-windows: max abs dev 0.000" in out
+    _, head, rows = read_csv(tmp_path / "moments.csv")
+    assert all(row[head.index("gamma2")] == row[head.index("gamma2_pred")] for row in rows)
+
+
+def test_check_derives_predictions_and_l1_once(tmp_path, monkeypatch):
+    calls = {"window_predictions": 0, "strength_l1": 0}
+
+    def counted(name):
+        fn = getattr(spectral, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(spectral, name, counted(name))
+    run_cli(["simulate", *SMALL_SYSTEM, "--members", "2", "--check", "--out", str(tmp_path)])
+    assert calls == {"window_predictions": 1, "strength_l1": 1}
 
 
 def test_centre_window_alone_is_not_an_off_center_window(tmp_path):

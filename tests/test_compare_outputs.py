@@ -34,5 +34,5 @@ def test_a_tree_against_itself_is_identical(tmp_path):
 
 def test_every_simulate_runs_at_three_worker_counts():
     labels = [label for label in compare_outputs.commands() if label.startswith("simulate-")]
-    assert len(labels) == 15
+    assert len(labels) == 18
     assert {label[-3:] for label in labels} == {"-w1", "-w2", "-w3"}

@@ -39,7 +39,9 @@ def commands() -> dict[str, list[str]]:
                           ((10, 5, 2, 3), ["--xi-sq", "0.5", "--members", "8", "--moments"]),
                           ((8, 4, 1, 2), ["--lambda", "0"]),
                           ((10, 5, 1, 3), ["--xi-sq", "0.5", "--members", "8", "--windows=-1,0,1",
-                                           "--window-width", "0.3", "--grid=-3:3:24"])):
+                                           "--window-width", "0.3", "--grid=-3:3:24"]),
+                          # enough members that the window gates print PASS lines too
+                          ((10, 5, 1, 2), ["--xi-sq", "0.5", "--members", "200"])):
         for workers in (1, 2, 3):
             cmds[f"simulate-{'-'.join(map(str, system))}-w{workers}"] = [
                 "simulate", *_system(*system), *extra, "--check", "--workers", str(workers)]
