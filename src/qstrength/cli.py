@@ -1,9 +1,9 @@
 """Command-line front end: table reproduction, parameter queries, density
 evaluation, Monte-Carlo simulation, and the analytic NPC curve.
 
-argparse resolves each option: a --config file's keys (the option names with
-underscores) become the command's defaults, so flags win and every value is
-parsed as its flag's; bca.resolve_system then turns the values into a system.
+Each command declares only the options it reads; a --config file (its keys are
+the option names with underscores) may give all but --config and --check as the
+command's defaults, so flags win and every value is parsed as its flag's.
 Every command is a pure function of (config, seed) and reruns byte-identically:
 '#' metadata lines (tool version, config hash, seed), no timestamps, 6
 significant digits, and 3-decimal display columns for diffing the tables.
@@ -36,14 +36,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _config_hash(items: dict) -> str:
+_UNREAD = {"command", "func", "config", "check"}  # argparse's own, and no file sets these
+_UNHASHED = _UNREAD | {"workers", "out"}  # where and how a run goes, not what it computes
+
+
+def _meta_lines(items: dict, seed=None) -> list[str]:
+    """Version, config hash and seed lines; the hash skips _UNHASHED keys and None values."""
     import hashlib  # keeps libcrypto out of `import qstrength.cli`; numpy.random maps it anyway
-    blob = "".join(f"{key}={_fmt(items[key])}\n" for key in sorted(items))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _meta_lines(config_items: dict, seed=None) -> list[str]:
-    lines = [f"# qstrength {__version__}", f"# config_hash sha256={_config_hash(config_items)}"]
+    blob = "".join(f"{key}={_fmt(value)}\n" for key, value in sorted(items.items())
+                   if key not in _UNHASHED and value is not None)
+    lines = [f"# qstrength {__version__}",
+             f"# config_hash sha256={hashlib.sha256(blob.encode()).hexdigest()}"]
     if seed is not None:
         lines.append(f"# seed {seed}")
     return lines
@@ -95,14 +98,13 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
 
 
 def _parse_centers(text: str) -> tuple[float, ...]:
-    """The --windows type, also for --config values: one or more comma-separated finite numbers."""
+    """The --windows type, also for --config values: comma-separated finite numbers, none empty."""
     try:
-        centers = tuple(float(tok) for tok in text.split(",") if tok.strip())
+        centers = tuple(float(tok) for tok in text.split(","))
     except ValueError:
         raise SystemExit(f"bad window list {text!r}; expected comma-separated numbers")
-    if not centers or not np.all(np.isfinite(centers)):
-        need = "finite centers" if centers else "at least one center"
-        raise SystemExit(f"bad window list {text!r}; need {need}")
+    if not np.all(np.isfinite(centers)):
+        raise SystemExit(f"bad window list {text!r}; need finite centers")
     return centers
 
 
@@ -191,13 +193,8 @@ def _coupling_block(params: bca.SystemParams, xi_sq_target) -> dict:
     return items
 
 
-def _config_items(args, keys) -> dict:
-    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
-
-
 def cmd_params(args) -> int:
     params = _system(args)
-    _parse_grid(args.grid)
     qs = params.qs_finite
     items = _coupling_block(params, args.xi_sq) | {"predictions_enabled": qs is not None}
     tables = {"params.csv": _key_values(items)}
@@ -205,7 +202,7 @@ def cmd_params(args) -> int:
         e_hat = np.array(args.windows)
         pred = dict(vars(bca.strength_moment_prediction(e_hat, qs, params.m, params.t, params.k)))
         tables["predictions.csv"] = {"e_hat": pred.pop("e_hat_kappa"), **pred}
-    _write_tables(_out_dir(args.out), _meta_lines(_config_items(args, _PARAM_KEYS)), tables)
+    _write_tables(_out_dir(args.out), _meta_lines(vars(args)), tables)
     return 0
 
 
@@ -215,18 +212,16 @@ def cmd_params(args) -> int:
 
 def cmd_qnormal(args) -> int:
     x = np.linspace(*_parse_grid(args.grid))
-    items = {"grid": args.grid, "q": args.q}
     if (args.y is None) != (args.xi is None):
         raise SystemExit("--y and --xi must be supplied together")
     try:
         if args.y is not None:
-            items |= {"y": args.y, "xi": args.xi}
             table = {"x": x, "f_cqn": qnormal.f_cqn(x, args.y, args.xi, args.q)}
         else:
             table = {"x": x, "f_qn": qnormal.f_qn(x, args.q)}
     except ValueError as exc:
         raise SystemExit(f"bad qnormal input: {exc}")
-    _write_csv(args.out, _meta_lines(items), table)
+    _write_csv(args.out, _meta_lines(vars(args)), table)
     return 0
 
 
@@ -240,7 +235,7 @@ def cmd_npc(args) -> int:
     if qs is None:
         raise SystemExit("NPC curve needs 0 < xi^2 < 1 (nonzero coupling)")
     x = np.linspace(*_parse_grid(args.grid))
-    _write_csv(args.out, _meta_lines(_config_items(args, _PARAM_KEYS)),
+    _write_csv(args.out, _meta_lines(vars(args)),
                {"x": x, "npc": spectral.npc_integral(x, qs, dim=params.dim)})
     return 0
 
@@ -302,10 +297,7 @@ def cmd_simulate(args) -> int:
             except OSError:  # written into or removed meanwhile: leave it as it is
                 pass
         raise SystemExit(f"{len(result.failures)} of {run_cfg.members} members failed (>1%)")
-    # The hash covers only result-determining config: execution details like
-    # worker count or output directory must not change the emitted bytes.
-    hashed = set(_SIM_KEYS) - {"workers", "out"}
-    meta = _meta_lines(_config_items(args, hashed), seed=run_cfg.seed)
+    meta = _meta_lines(vars(args), seed=run_cfg.seed)
 
     qs, rep, chaos = result.system.qs_finite, result.strength, result.chaos
     items = _coupling_block(result.system, args.xi_sq) | {
@@ -336,9 +328,6 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-_PARAM_KEYS = ("N", "m", "t", "k", "lam", "xi_sq", "windows", "grid")
-_SIM_KEYS = _PARAM_KEYS + ("members", "seed", "window_width", "workers", "moments", "out")
-
 # CLI keys that map one-to-one onto RunConfig fields; RunConfig holds their
 # defaults, and its grid_lo/grid_hi/grid_bins defaults make up the grid's.
 _RUN_FIELDS = {
@@ -351,7 +340,8 @@ _DEFAULTS = {key: getattr(ensemble.RunConfig, field) for key, field in _RUN_FIEL
 }
 
 
-def _add_system_flags(p: argparse.ArgumentParser) -> None:
+def _add_system_flags(p: argparse.ArgumentParser, *read: str) -> None:
+    """The system's flags and --config, plus those of --windows and --grid in read."""
     p.add_argument("--N", type=int, help="number of single-particle states")
     p.add_argument("--m", type=int, help="number of fermions")
     p.add_argument("--t", type=int, help="mean-field rank")
@@ -359,14 +349,16 @@ def _add_system_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda", dest="lam", type=float, help="coupling strength")
     p.add_argument("--xi-sq", dest="xi_sq", type=float,
                    help="target correlation xi^2 (coupling solved for it)")
-    p.add_argument("--windows", type=_parse_centers,
-                   help="comma-separated window centers in standardized energy")
-    p.add_argument("--grid", help="energy grid as lo:hi:count")
+    if "windows" in read:
+        p.add_argument("--windows", type=_parse_centers, default=_DEFAULTS["windows"],
+                       help="comma-separated window centers in standardized energy")
+    if "grid" in read:
+        p.add_argument("--grid", default=_DEFAULTS["grid"], help="energy grid as lo:hi:count")
     p.add_argument("--config", help="key=value config file; flags override")
-    p.set_defaults(**{key: _DEFAULTS[key] for key in _PARAM_KEYS if key in _DEFAULTS})
 
 
-def main(argv=None) -> int:
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The qstrength parser and its {command: subparser}."""
     parser = argparse.ArgumentParser(
         prog="qstrength",
         description="Strength functions of fermionic k-body ensembles: analytic "
@@ -381,7 +373,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("params", help="emit couplings, q parameters, and moment predictions")
-    _add_system_flags(p)
+    _add_system_flags(p, "windows")
     p.add_argument("--out", help="directory for params.csv / predictions.csv (default stdout)")
     p.set_defaults(func=cmd_params)
 
@@ -394,7 +386,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_qnormal)
 
     p = sub.add_parser("simulate", help="run the Monte-Carlo ensemble and write reports")
-    _add_system_flags(p)
+    _add_system_flags(p, "windows", "grid")
     p.add_argument("--members", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--window-width", dest="window_width", type=float)
@@ -408,21 +400,24 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_simulate, **_DEFAULTS)
 
     p = sub.add_parser("npc", help="emit the analytic NPC curve for a system")
-    _add_system_flags(p)
+    _add_system_flags(p, "grid")
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=cmd_npc)
+    return parser, sub.choices
 
+
+def main(argv=None) -> int:
+    parser, commands = _parser()
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
         # parse again with the file's values as defaults: flags still win, and
         # each value goes through its flag's own type
-        keys = _SIM_KEYS if args.command == "simulate" else _PARAM_KEYS
-        values = _load_config_file(args.config, keys)
+        values = _load_config_file(args.config, vars(args).keys() - _UNREAD)
         if args.lam is not None or args.xi_sq is not None:
             # a coupling flag replaces the file's coupling, whichever key it is
             values.pop("lam", None)
             values.pop("xi_sq", None)
-        sub.choices[args.command].set_defaults(**values)
+        commands[args.command].set_defaults(**values)
         args = parser.parse_args(argv)
     for key in ("N", "m", "t", "k"):
         if getattr(args, key, 0) is None:

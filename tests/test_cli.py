@@ -5,6 +5,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -149,8 +150,8 @@ PLATFORM_FREE_DIGESTS = (
         "table2.csv": "2e6ba32b5c2f6c0ebe1944024458504c8e228eaa6a10148f033bb9120b4bfd66",
     }),
     (["params", "--N", "12", "--m", "6", "--t", "1", "--k", "2", "--xi-sq", "0.5"], {
-        "params.csv": "397b67284c7142c0e1b799345f50b62c04cb6a4452784cff5290f4651bfae28d",
-        "predictions.csv": "1f0c6c44b3d51f70710000db64e9bd408d6b6b6321f303277ea6afebc00edc69",
+        "params.csv": "5b9e3b04b8c212d79f7120dc1a48b0e07a8e4355f28f5f06db19e9d246faaeae",
+        "predictions.csv": "45e5543e25cbf35976a23ff43aacf0925cd0a74b8540cb63fb13edde87e7b817",
     }),
 )
 
@@ -337,12 +338,12 @@ class TestSimulate:
             assert sim_outputs(tmp_path / name) == sim_outputs(plain)
             for out in sim_outputs(plain):
                 assert (tmp_path / name / out).read_bytes() == (plain / out).read_bytes()
-        # params and npc read the same file as the same flags
-        flags = ["--N", "8", "--m", "4", "--t", "1", "--k", "2", "--xi-sq", "0.5",
-                 "--windows=-1,0,1", "--grid=-3.2:3.2:32"]
+        # params and npc read the same file as the same flags, each ignoring the
+        # key of the option it does not take
+        flags = ["--N", "8", "--m", "4", "--t", "1", "--k", "2", "--xi-sq", "0.5"]
         cfg = ["--config", str(tmp_path / "plain.cfg")]
-        for command in ("params", "npc"):
-            assert run_cli([command, *cfg]) == run_cli([command, *flags])
+        for command, flag in (("params", "--windows=-1,0,1"), ("npc", "--grid=-3.2:3.2:32")):
+            assert run_cli([command, *cfg]) == run_cli([command, *flags, flag])
         # a bad value is reported by the flag's own type, without a traceback
         (tmp_path / "bad.cfg").write_text(system.replace("N = 8", "N = abc"))
         proc = cli_subprocess(["simulate", "--config", str(tmp_path / "bad.cfg"),
@@ -424,6 +425,72 @@ class TestSimulate:
         )
 
 
+# two settings of every option that enters some command's config_hash, as argv
+# tokens; each pair keeps HASH_BASE's system (8,4,1,3) valid and changes what
+# the command writes
+TWO_SETTINGS = {
+    "--N": (["--N=8"], ["--N=9"]), "--m": (["--m=4"], ["--m=5"]),
+    "--t": (["--t=1"], ["--t=2"]), "--k": (["--k=3"], ["--k=4"]),
+    "--lambda": (["--lambda=0.2"], ["--lambda=0.3"]),
+    "--xi-sq": (["--xi-sq=0.5"], ["--xi-sq=0.4"]),
+    "--windows": (["--windows=0"], ["--windows=0,1"]),
+    "--grid": (["--grid=-1:1:3"], ["--grid=-2:2:5"]),
+    "--members": (["--members=1"], ["--members=2"]), "--seed": (["--seed=1"], ["--seed=2"]),
+    "--window-width": (["--window-width=0.2"], ["--window-width=0.8"]),
+    "--moments": ([], ["--moments"]),
+    "--q": (["--q=0.5"], ["--q=0.6"]), "--y": (["--y=0"], ["--y=0.5"]),
+    "--xi": (["--xi=0.5"], ["--xi=0.6"]),
+}
+HASH_BASE = {
+    "params": ["--N=8", "--m=4", "--t=1", "--k=3"],
+    "npc": ["--N=8", "--m=4", "--t=1", "--k=3", "--grid=-1:1:3"],
+    "simulate": ["--N=8", "--m=4", "--t=1", "--k=3", "--grid=-1:1:3", "--members=1",
+                 "--workers=1"],
+    "qnormal": ["--q=0.5", "--y=0", "--xi=0.5", "--grid=-1:1:3"],
+}
+
+
+def hash_and_rows(out: Path, command: str, argv: list[str]) -> tuple[str, list[str]]:
+    """The config_hash line of what the command writes into out, and its other lines."""
+    assert run_cli([command, *argv, "--out", str(out)])[0] == 0
+    lines = [line for path in (sorted(out.iterdir()) if out.is_dir() else [out])
+             for line in path.read_text().splitlines()]
+    hashes = {line for line in lines if line.startswith("# config_hash")}
+    assert len(hashes) == 1
+    return hashes.pop(), [line for line in lines if not line.startswith("#")]
+
+
+@pytest.mark.parametrize("command", ["params", "npc", "qnormal", "simulate"])
+def test_config_hash_moves_with_every_option_the_command_reads(tmp_path, command):
+    usage = cli_subprocess([command, "--help"]).stdout
+    options = set(re.findall(r"^  (--[\w-]+)", usage, flags=re.MULTILINE))
+    assert "--out" in options
+    coupling = [] if command == "qnormal" else ["--xi-sq=0.5"]
+    outs = iter(tmp_path / str(i) for i in range(1000))
+    for option in sorted(options - {"--config", "--check", "--workers", "--out"}):
+        base = [*HASH_BASE[command], *(coupling if option != "--lambda" else [])]
+        (hash_a, rows_a), (hash_b, rows_b) = (hash_and_rows(next(outs), command, [*base, *setting])
+                                              for setting in TWO_SETTINGS[option])
+        # an option that moves the hash changes the rows: the command reads it
+        assert hash_a != hash_b and rows_a != rows_b, option
+    # where and how a run goes moves neither
+    base = [*HASH_BASE[command], *coupling]
+    workers = ["--workers=2"] if command == "simulate" else []
+    assert hash_and_rows(next(outs), command, base) == hash_and_rows(
+        next(outs), command, [*base, *workers])
+
+
+@pytest.mark.parametrize("command", ["params", "npc"])
+def test_out_may_come_from_the_config_file(tmp_path, command):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"out = {tmp_path / 'from-file'}\n")
+    assert run_cli([command, *SMALL_SYSTEM, "--config", str(config)])[0] == 0
+    assert run_cli([command, *SMALL_SYSTEM, "--out", str(tmp_path / "from-flag")])[0] == 0
+    for name in ("params.csv", "predictions.csv") if command == "params" else ("",):
+        assert (tmp_path / "from-file" / name).read_bytes() == (
+            tmp_path / "from-flag" / name).read_bytes()
+
+
 @pytest.mark.parametrize("command", ["simulate", "params", "npc"])
 @pytest.mark.parametrize("system, coupling, reason", [
     # m > N: the system is rejected before a coupling is solved for
@@ -461,34 +528,33 @@ def assert_exits_with_one_line(tmp_path: Path, argv: list[str], reason: str) -> 
 
 @pytest.mark.parametrize("argv, reason", [
     (["npc", *SMALL_SYSTEM, "--grid=-inf:1:3"], "bad grid spec '-inf:1:3'"),
-    (["npc", *SMALL_SYSTEM, "--windows=0,nan"], "bad window list '0,nan'"),
     (["qnormal", "--q", "0.5", "--grid=-1:inf:3"], "bad grid spec '-1:inf:3'"),
     (["qnormal", "--q", "0.5", "--y", "0", "--xi", "0.5", "--grid=nan:1:3"],
      "bad grid spec 'nan:1:3'"),
     (["params", *SMALL_SYSTEM, "--windows=inf,nan"], "bad window list 'inf,nan'"),
-    (["params", *SMALL_SYSTEM, "--grid=-1:inf:3"], "bad grid spec '-1:inf:3'"),
     (["simulate", *SMALL_SYSTEM, "--windows=nan"], "bad window list 'nan'"),
     (["simulate", *SMALL_SYSTEM, "--grid=-inf:3:8"], "bad grid spec '-inf:3:8'"),
-], ids=["npc-grid", "npc-windows", "qnormal-grid", "qnormal-conditional-grid",
-        "params-windows", "params-grid", "simulate-windows", "simulate-grid"])
+], ids=["npc-grid", "qnormal-grid", "qnormal-conditional-grid", "params-windows",
+        "simulate-windows", "simulate-grid"])
 def test_non_finite_grid_or_windows_exits_without_traceback(tmp_path, argv, reason):
     assert_exits_with_one_line(tmp_path, argv, reason)
 
 
-@pytest.mark.parametrize("command", ["simulate", "params", "npc"])
-@pytest.mark.parametrize("line, reason", [
-    ("windows = 0,nan", "bad window list '0,nan'"),
-    ("grid = -inf:1:3", "bad grid spec '-inf:1:3'"),
-], ids=["windows", "grid"])
-def test_non_finite_config_grid_or_windows_exits_without_traceback(tmp_path, command, line,
-                                                                    reason):
+@pytest.mark.parametrize("line, reason, command", [
+    ("windows = 0,nan", "bad window list '0,nan'", "simulate"),
+    ("windows = 0,nan", "bad window list '0,nan'", "params"),
+    ("grid = -inf:1:3", "bad grid spec '-inf:1:3'", "simulate"),
+    ("grid = -inf:1:3", "bad grid spec '-inf:1:3'", "npc"),
+], ids=["windows-simulate", "windows-params", "grid-simulate", "grid-npc"])
+def test_non_finite_config_grid_or_windows_exits_without_traceback(tmp_path, line, reason,
+                                                                    command):
     config = tmp_path / "run.cfg"
     config.write_text(line + "\n")
     assert_exits_with_one_line(tmp_path, [command, *SMALL_SYSTEM, "--config", str(config)],
                                reason)
 
 
-@pytest.mark.parametrize("command", ["simulate", "params", "npc"])
+@pytest.mark.parametrize("command", ["simulate", "params"])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_empty_window_list_exits_without_traceback(tmp_path, command, source):
     # cli owns the window rule in every command; RunConfig's check is for library callers
@@ -498,7 +564,28 @@ def test_empty_window_list_exits_without_traceback(tmp_path, command, source):
     assert_exits_with_one_line(tmp_path, [command, *SMALL_SYSTEM, *flags], "bad window list ','")
 
 
-@pytest.mark.parametrize("command", ["simulate", "params", "npc", "qnormal"])
+@pytest.mark.parametrize("command", ["simulate", "params"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("text", ["1,,2", ",1", "1, ,"])
+def test_window_list_with_an_empty_item_exits_without_traceback(tmp_path, command, source, text):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"windows = {text}\n")
+    flags = [f"--windows={text}"] if source == "flag" else ["--config", str(config)]
+    # a --config value is stripped of the spaces around it, as every value is
+    quoted = repr(text if source == "flag" else text.strip())
+    assert_exits_with_one_line(tmp_path, [command, *SMALL_SYSTEM, *flags],
+                               f"bad window list {quoted}; expected comma-separated numbers")
+
+
+@pytest.mark.parametrize("command, flag", [("params", "--grid=-1:1:3"), ("npc", "--windows=0")])
+def test_an_option_the_command_does_not_read_is_not_accepted(command, flag):
+    proc = cli_subprocess([command, *SMALL_SYSTEM, flag])
+    assert proc.returncode == 2
+    assert f"error: unrecognized arguments: {flag}" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["simulate", "npc", "qnormal"])
 @pytest.mark.parametrize("grid", ["3:1:8", "-1:1:0"], ids=["lo>=hi", "count<1"])
 def test_empty_grid_exits_without_traceback(tmp_path, command, grid):
     args = ["--q", "0.5"] if command == "qnormal" else SMALL_SYSTEM

@@ -28,9 +28,9 @@ def commands() -> dict[str, list[str]]:
     for system in ((12, 6, 1, 2), (12, 6, 1, 4), (24, 8, 2, 3)):
         for cmd in ("params", "npc"):
             cmds[f"{cmd}-{'-'.join(map(str, system))}"] = [cmd, *_system(*system), "--xi-sq", "0.5"]
-    for cmd in ("params", "npc"):
-        cmds[f"{cmd}-12-6-1-2-windows-grid"] = [cmd, *_system(12, 6, 1, 2), "--xi-sq", "0.5",
-                                                "--windows=-1.5,0,1.5", "--grid=-2.5:2.5:21"]
+    # params reads --windows and npc --grid, each only its own
+    for cmd, flag in (("params", "--windows=-1.5,0,1.5"), ("npc", "--grid=-2.5:2.5:21")):
+        cmds[f"{cmd}-12-6-1-2-windows-grid"] = [cmd, *_system(12, 6, 1, 2), "--xi-sq", "0.5", flag]
     cmds["qnormal"] = ["qnormal", "--q", "0.5"]
     cmds["qnormal-conditional"] = ["qnormal", "--q", "0.5", "--y", "0.9", "--xi", "0.7"]
     cmds["qnormal-grid"] = ["qnormal", "--q", "0.3", "--grid=-2:2:17"]
