@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +32,6 @@ def _fmt(value) -> str:
         return str(int(value))
     if isinstance(value, float):
         return format(value, _FMT)
-    if isinstance(value, tuple):
-        return ";".join(_fmt(item) for item in value)
     return str(value)
 
 
@@ -40,10 +39,19 @@ _UNREAD = {"command", "func", "config", "check"}  # argparse's own, and no file 
 _UNHASHED = _UNREAD | {"workers", "out"}  # where and how a run goes, not what it computes
 
 
+def _hash_text(key: str, value) -> str:
+    """The hash's text of a parsed value: shortest round-trip floats, and a grid as lo:hi:count."""
+    if isinstance(value, tuple):
+        return (":" if key == "grid" else ";").join(_hash_text(key, item) for item in value)
+    if isinstance(value, float):
+        return np.format_float_positional(value, trim="-")
+    return _fmt(value)
+
+
 def _meta_lines(items: dict, seed=None) -> list[str]:
-    """Version, config hash and seed lines; the hash skips _UNHASHED keys and None values."""
+    """Version, config hash and seed lines; the hash reads parsed values, not _UNHASHED or None."""
     import hashlib  # keeps libcrypto out of `import qstrength.cli`; numpy.random maps it anyway
-    blob = "".join(f"{key}={_fmt(value)}\n" for key, value in sorted(items.items())
+    blob = "".join(f"{key}={_hash_text(key, value)}\n" for key, value in sorted(items.items())
                    if key not in _UNHASHED and value is not None)
     lines = [f"# qstrength {__version__}",
              f"# config_hash sha256={hashlib.sha256(blob.encode()).hexdigest()}"]
@@ -87,6 +95,7 @@ def _key_values(items: dict) -> dict:
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
+    """The --grid type, also for --config values: lo:hi:count, finite lo < hi, count >= 1."""
     try:
         lo, hi, n = text.split(":")
         lo, hi, n = float(lo), float(hi), int(n)
@@ -211,7 +220,7 @@ def cmd_params(args) -> int:
 
 
 def cmd_qnormal(args) -> int:
-    x = np.linspace(*_parse_grid(args.grid))
+    x = np.linspace(*args.grid)
     if (args.y is None) != (args.xi is None):
         raise SystemExit("--y and --xi must be supplied together")
     try:
@@ -234,7 +243,7 @@ def cmd_npc(args) -> int:
     qs = params.qs_finite
     if qs is None:
         raise SystemExit("NPC curve needs 0 < xi^2 < 1 (nonzero coupling)")
-    x = np.linspace(*_parse_grid(args.grid))
+    x = np.linspace(*args.grid)
     _write_csv(args.out, _meta_lines(vars(args)),
                {"x": x, "npc": spectral.npc_integral(x, qs, dim=params.dim)})
     return 0
@@ -245,13 +254,10 @@ def cmd_npc(args) -> int:
 
 
 def _run_config(args) -> ensemble.RunConfig:
-    lo, hi, n = _parse_grid(args.grid)
+    _system(args)  # a bad system exits with the line params and npc print
     try:
-        return ensemble.RunConfig(
-            N=args.N, m=args.m, t=args.t, k=args.k,
-            grid_lo=lo, grid_hi=hi, grid_bins=n,
-            **{field: getattr(args, key) for key, field in _RUN_FIELDS.items()},
-        )
+        return ensemble.RunConfig(**{f.name: getattr(args, f.name)
+                                     for f in fields(ensemble.RunConfig)})
     except ValueError as exc:
         raise SystemExit(f"bad simulate config: {exc}")
 
@@ -328,16 +334,8 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-# CLI keys that map one-to-one onto RunConfig fields; RunConfig holds their
-# defaults, and its grid_lo/grid_hi/grid_bins defaults make up the grid's.
-_RUN_FIELDS = {
-    "lam": "lam", "xi_sq": "xi_sq_target", "windows": "window_centers",
-    "members": "members", "seed": "seed", "window_width": "window_width",
-    "workers": "workers", "moments": "with_moments",
-}
-_DEFAULTS = {key: getattr(ensemble.RunConfig, field) for key, field in _RUN_FIELDS.items()} | {
-    "grid": "{0.grid_lo}:{0.grid_hi}:{0.grid_bins}".format(ensemble.RunConfig),
-}
+# RunConfig's fields are simulate's options, and RunConfig holds their defaults
+_DEFAULTS = {f.name: f.default for f in fields(ensemble.RunConfig) if f.default is not MISSING}
 
 
 def _add_system_flags(p: argparse.ArgumentParser, *read: str) -> None:
@@ -353,7 +351,8 @@ def _add_system_flags(p: argparse.ArgumentParser, *read: str) -> None:
         p.add_argument("--windows", type=_parse_centers, default=_DEFAULTS["windows"],
                        help="comma-separated window centers in standardized energy")
     if "grid" in read:
-        p.add_argument("--grid", default=_DEFAULTS["grid"], help="energy grid as lo:hi:count")
+        p.add_argument("--grid", type=_parse_grid, default=_DEFAULTS["grid"],
+                       help="energy grid as lo:hi:count")
     p.add_argument("--config", help="key=value config file; flags override")
 
 
@@ -381,7 +380,7 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--y", type=float, help="conditioning value (needs --xi)")
     p.add_argument("--xi", type=float, help="correlation coefficient (needs --y)")
-    p.add_argument("--grid", default="-3.2:3.2:129")
+    p.add_argument("--grid", type=_parse_grid, default="-3.2:3.2:129")
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=cmd_qnormal)
 

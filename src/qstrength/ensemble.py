@@ -27,7 +27,7 @@ time reads 2.0 and a 600 x 600 matmul 1.0.
 Each member yields one tuple of partial sums: a StrengthReport (overlap rows
 selected by windows on the standardized H0 spectrum), ChaosMeasures (NPC and
 information entropy binned on the standardized H spectrum), and with
-with_moments a BivariateMomentAccumulator of centered trace moments through
+moments set a BivariateMomentAccumulator of centered trace moments through
 fourth order, which needs only E0, E and W, so H is not kept: its
 eigenvectors overwrite it, and W overwrites them.  run_ensemble merges the
 tuples position by position in member order, by the spectral module's sums
@@ -80,37 +80,34 @@ def _usable_cores() -> int:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a simulation needs; exactly one of lam / xi_sq_target is set."""
+    """A simulation's settings, by simulate's option names; exactly one of lam / xi_sq is set."""
 
     N: int
     m: int
     t: int
     k: int
     lam: float | None = None
-    xi_sq_target: float | None = None
+    xi_sq: float | None = None
     members: int = 100
     seed: int = 2024
-    window_centers: tuple[float, ...] = (-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0)
+    windows: tuple[float, ...] = (-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0)
     window_width: float = 0.1
-    grid_lo: float = -3.2
-    grid_hi: float = 3.2
-    grid_bins: int = 64
+    grid: tuple[float, float, int] = (-3.2, 3.2, 64)  # lo, hi, bins
     workers: int = _usable_cores()
-    with_moments: bool = False
+    moments: bool = False
 
     def __post_init__(self) -> None:
         if self.members < 1:
             raise ValueError("members must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if not self.window_centers or not np.all(np.isfinite(self.window_centers)):
-            raise ValueError("window_centers must be a non-empty list of finite numbers")
+        if not self.windows or not np.all(np.isfinite(self.windows)):
+            raise ValueError("windows must be a non-empty list of finite numbers")
         if not 0 < self.window_width < np.inf:
             raise ValueError("window_width must be positive and finite")
-        if not -np.inf < self.grid_lo < self.grid_hi < np.inf:
-            raise ValueError("grid bounds must be finite, with grid_lo below grid_hi")
-        if self.grid_bins < 1:
-            raise ValueError("grid_bins must be >= 1")
+        lo, hi, bins = self.grid
+        if not -np.inf < lo < hi < np.inf or bins < 1:
+            raise ValueError("grid must be (lo, hi, bins) with finite lo < hi and bins >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         self.system()  # exactly one coupling, then N, m, t, k, then the solved coupling
@@ -118,15 +115,15 @@ class RunConfig:
             raise ValueError("need at least 2 basis states to standardize a spectrum")
 
     def system(self) -> bca.SystemParams:
-        return bca.resolve_system(self.N, self.m, self.t, self.k, self.lam, self.xi_sq_target)
+        return bca.resolve_system(self.N, self.m, self.t, self.k, self.lam, self.xi_sq)
 
-    def windows(self) -> np.ndarray:
-        c = np.asarray(self.window_centers, dtype=float)
+    def intervals(self) -> np.ndarray:
+        c = np.asarray(self.windows, dtype=float)
         half = 0.5 * self.window_width
         return np.column_stack([c - half, c + half])
 
     def edges(self) -> np.ndarray:
-        return np.linspace(self.grid_lo, self.grid_hi, self.grid_bins + 1)
+        return np.linspace(*self.grid[:2], self.grid[2] + 1)
 
 
 @dataclass(frozen=True)
@@ -243,9 +240,9 @@ def run_member(cfg: RunConfig, member: int, arena: _Arena):
     0) with str() of the exception; otherwise each has member_count 1.  Any
     other exception propagates: no valid member raises one.
     """
-    sums = (spectral.StrengthReport(cfg.windows(), cfg.edges()),
+    sums = (spectral.StrengthReport(cfg.intervals(), cfg.edges()),
             spectral.ChaosMeasures(cfg.edges()))
-    if cfg.with_moments:
+    if cfg.moments:
         sums += (spectral.BivariateMomentAccumulator(),)
     try:
         spec = member_spectra(cfg, member, arena)
@@ -330,7 +327,7 @@ def run_ensemble(cfg: RunConfig) -> EnsembleResult:
     for partial, _ in outcomes[1:]:
         sums = tuple(total.merge(part) for total, part in zip(sums, partial))
     failures = tuple((member, err) for member, (_, err) in enumerate(outcomes) if err is not None)
-    moments = sums[2] if cfg.with_moments else None
+    moments = sums[2] if cfg.moments else None
     return EnsembleResult(cfg, cfg.system(), sums[0], sums[1], moments, failures)
 
 

@@ -33,7 +33,7 @@ def gate(label: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def run_k2():
-    cfg = RunConfig(N=12, m=6, t=1, k=2, xi_sq_target=0.5, members=500, seed=20260822,
+    cfg = RunConfig(N=12, m=6, t=1, k=2, xi_sq=0.5, members=500, seed=20260822,
                     workers=2)
     return run_ensemble(cfg)
 
@@ -41,15 +41,15 @@ def run_k2():
 @pytest.fixture(scope="module")
 def run_k4():
     cfg = RunConfig(
-        N=12, m=6, t=1, k=4, xi_sq_target=0.5, members=200, seed=20260823,
-        with_moments=True, workers=2,
+        N=12, m=6, t=1, k=4, xi_sq=0.5, members=200, seed=20260823,
+        moments=True, workers=2,
     )
     return run_ensemble(cfg)
 
 
 @pytest.fixture(scope="module")
 def run_k6():
-    cfg = RunConfig(N=12, m=6, t=1, k=6, xi_sq_target=0.5, members=200, seed=20260824,
+    cfg = RunConfig(N=12, m=6, t=1, k=6, xi_sq=0.5, members=200, seed=20260824,
                     workers=2)
     return run_ensemble(cfg)
 

@@ -9,11 +9,12 @@ import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
 
-from qstrength import bca, cli, spectral
+from qstrength import bca, cli, ensemble, spectral
 from qstrength.qnormal import f_qn
 
 
@@ -480,6 +481,46 @@ def test_config_hash_moves_with_every_option_the_command_reads(tmp_path, command
         next(outs), command, [*base, *workers])
 
 
+def written(out: Path) -> dict[str, bytes]:
+    """{file name: bytes} of the file out, or of every file in the directory out."""
+    return {path.name: path.read_bytes()
+            for path in (sorted(out.iterdir()) if out.is_dir() else [out])}
+
+
+@pytest.mark.parametrize("command", ["npc", "qnormal", "simulate"])
+def test_spellings_of_one_grid_write_identical_files(tmp_path, command):
+    # the hash reads the parsed grid, so its config_hash line is the same too
+    base = [*(a for a in HASH_BASE[command] if not a.startswith("--grid")),
+            *([] if command == "qnormal" else ["--xi-sq=0.5"])]
+    outs = []
+    for i, grid in enumerate(["--grid=-1:1:3", "--grid=-1.0:1.00:003"]):
+        (tmp_path / str(i)).mkdir()
+        outs.append(tmp_path / str(i) / "out")
+        assert run_cli([command, *base, grid, "--out", str(outs[-1])])[0] == 0
+    assert written(outs[0]) == written(outs[1])
+
+
+@pytest.mark.parametrize("option, values", [("--xi-sq", ("0.5", "0.5000001")),
+                                            ("--windows", ("0.1", "0.1000001"))])
+def test_values_that_differ_past_six_digits_hash_apart(tmp_path, option, values):
+    coupling = [] if option == "--xi-sq" else ["--xi-sq=0.5"]
+    (hash_a, rows_a), (hash_b, rows_b) = (
+        hash_and_rows(tmp_path / value, "params",
+                      [*HASH_BASE["params"], *coupling, f"{option}={value}"])
+        for value in values)
+    assert hash_a != hash_b and rows_a != rows_b
+
+
+def test_run_config_fields_are_simulates_options_with_its_defaults():
+    parser, commands = cli._parser()
+    options = {a.dest for a in commands["simulate"]._actions if a.option_strings}
+    not_run_settings = {"help", "config", "check", "out"}
+    assert {f.name for f in fields(ensemble.RunConfig)} == options - not_run_settings
+    parsed = vars(parser.parse_args(["simulate"]))
+    defaults = {f.name: f.default for f in fields(ensemble.RunConfig) if f.default is not MISSING}
+    assert defaults == {name: parsed[name] for name in defaults}
+
+
 @pytest.mark.parametrize("command", ["params", "npc"])
 def test_out_may_come_from_the_config_file(tmp_path, command):
     config = tmp_path / "run.cfg"
@@ -494,24 +535,22 @@ def test_out_may_come_from_the_config_file(tmp_path, command):
 @pytest.mark.parametrize("command", ["simulate", "params", "npc"])
 @pytest.mark.parametrize("system, coupling, reason", [
     # m > N: the system is rejected before a coupling is solved for
-    ((8, 9, 1, 2), ["--xi-sq", "0.5"], "need t < k <= m <= N"),
-    ((8, 9, 1, 2), ["--lambda", "0.5"], "need t < k <= m <= N"),
-    ((8, 4, 1, 2), ["--xi-sq", "0"], "strictly between 0 and 1"),
+    ((8, 9, 1, 2), ["--xi-sq", "0.5"], "bad system: need t < k <= m <= N"),
+    ((8, 9, 1, 2), ["--lambda", "0.5"], "bad system: need t < k <= m <= N"),
+    ((8, 4, 2, 2), ["--xi-sq", "0.5"], "bad system: t = k is degenerate"),
+    ((8, 4, 1, 2), ["--xi-sq", "0"], "bad system: xi_sq target must lie strictly between 0 and 1"),
     ((None, 4, 1, 2), ["--xi-sq", "0.5"], "missing required option --N"),
-    ((8, 4, 1, 2), [], "exactly one of the couplings lam and xi_sq"),
+    ((8, 4, 1, 2), [], "bad system: set exactly one of the couplings lam and xi_sq"),
     ((8, 4, 1, 2), ["--lambda", "0.5", "--xi-sq", "0.5"],
-     "exactly one of the couplings lam and xi_sq"),
-    ((8, 4, 1, 2), ["--lambda", "inf"], "coupling lam must be finite"),
-    ((8, 4, 1, 2), ["--lambda", "1e300"], "coupling lam must be finite"),
-], ids=["m>N-xi_sq", "m>N-lam", "xi_sq=0", "no-N", "no-coupling", "both-couplings",
+     "bad system: set exactly one of the couplings lam and xi_sq"),
+    ((8, 4, 1, 2), ["--lambda", "inf"], "bad system: coupling lam must be finite"),
+    ((8, 4, 1, 2), ["--lambda", "1e300"], "bad system: coupling lam must be finite"),
+], ids=["m>N-xi_sq", "m>N-lam", "t=k", "xi_sq=0", "no-N", "no-coupling", "both-couplings",
         "lam=inf", "lam^2=inf"])
 def test_invalid_system_exits_without_traceback(tmp_path, command, system, coupling, reason):
+    # one line for a bad system, whichever command is given it
     flags = [f"--{name}={value}" for name, value in zip("Nmtk", system) if value is not None]
-    proc = cli_subprocess([command, *flags, *coupling, "--out", str(tmp_path / "out")])
-    assert proc.returncode != 0
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.count("\n") == 1 and reason in proc.stderr
-    assert not (tmp_path / "out").exists()
+    assert_exits_with_one_line(tmp_path, [command, *flags, *coupling], reason)
 
 
 SMALL_SYSTEM = ["--N", "8", "--m", "4", "--t", "1", "--k", "2", "--xi-sq", "0.5"]

@@ -34,5 +34,12 @@ def test_a_tree_against_itself_is_identical(tmp_path):
 
 def test_every_simulate_runs_at_three_worker_counts():
     labels = [label for label in compare_outputs.commands() if label.startswith("simulate-")]
-    assert len(labels) == 18
+    assert len(labels) == 21
     assert {label[-3:] for label in labels} == {"-w1", "-w2", "-w3"}
+
+
+def test_config_commands_read_the_run_cfg_beside_them(tmp_path):
+    outputs = compare_outputs.run(ROOT, compare_outputs.commands()["params-config"], tmp_path)
+    assert outputs["<exit code>"] == b"0"
+    assert outputs["run.cfg"] == compare_outputs.RUN_CFG.encode()
+    assert b"\nN,9\nm,4\nt,1\nk,2\nxi_sq_target,0.5\n" in outputs["<stdout>"]

@@ -41,7 +41,7 @@ def dense_oracle(cfg: RunConfig, member: int):
                                     (8, 6, 2, 4)])
 def test_member_matches_dense_two_eigensolve_oracle(system):
     N, m, t, k = system
-    cfg = RunConfig(N=N, m=m, t=t, k=k, xi_sq_target=0.5, seed=41)
+    cfg = RunConfig(N=N, m=m, t=t, k=k, xi_sq=0.5, seed=41)
     arena = ensemble._member_arena(cfg)
     for member in range(3):
         spec = member_spectra(cfg, member, arena)
@@ -55,7 +55,7 @@ def test_member_matches_dense_two_eigensolve_oracle(system):
 @pytest.mark.parametrize("system", [(8, 4, 1, 2), (8, 4, 2, 3)])
 def test_moments_are_basis_independent(system):
     N, m, t, k = system
-    cfg = RunConfig(N=N, m=m, t=t, k=k, xi_sq_target=0.5, seed=43)
+    cfg = RunConfig(N=N, m=m, t=t, k=k, xi_sq=0.5, seed=43)
     spec = member_spectra(cfg, 0, ensemble._member_arena(cfg))
     h0, h, _ = dense_oracle(cfg, 0)
     frame = spectral.BivariateMomentAccumulator()
@@ -97,7 +97,7 @@ def test_one_many_body_eigensolve_for_one_body_mean_field(monkeypatch, system, e
     monkeypatch.setattr(spectral, "diagonalize", counted_diagonalize)
     monkeypatch.setattr(fock, "embed_k_body", counted_embed)
     N, m, t, k = system
-    cfg = RunConfig(N=N, m=m, t=t, k=k, xi_sq_target=0.5, seed=3)
+    cfg = RunConfig(N=N, m=m, t=t, k=k, xi_sq=0.5, seed=3)
     (strength, _), err = run_member(cfg, 0, ensemble._member_arena(cfg))
     assert err is None and strength.member_count == 1
     assert calls == {"diagonalize": eigensolves, "embed": embeddings}
@@ -118,7 +118,7 @@ def probe(cfg, member, arena):
     return run_member(cfg, member, arena)[0], str(getter())
 ensemble.run_member = probe
 before = getter()
-cfg = ensemble.RunConfig(N=8, m=4, t=1, k=2, xi_sq_target=0.5, members=4,
+cfg = ensemble.RunConfig(N=8, m=4, t=1, k=2, xi_sq=0.5, members=4,
                          workers=int(sys.argv[1]))
 workers = [message for _, message in ensemble.run_ensemble(cfg).failures]
 print(before, getter(), *workers)
@@ -186,7 +186,7 @@ def test_pool_stops_between_members_when_a_block_raises(monkeypatch):
         return run_member(cfg, member, arena)
 
     monkeypatch.setattr(ensemble, "run_member", fake)
-    cfg = RunConfig(N=8, m=4, t=1, k=2, xi_sq_target=0.5, members=8, workers=2)
+    cfg = RunConfig(N=8, m=4, t=1, k=2, xi_sq=0.5, members=8, workers=2)
     with pytest.raises(RuntimeError, match="member 0"):
         run_ensemble(cfg)
     assert len([member for member in ran if member >= 4]) <= 2, ran
@@ -210,7 +210,7 @@ def test_caller_stops_between_members_when_another_block_raises(monkeypatch):
         return run_member(cfg, member, arena)
 
     monkeypatch.setattr(ensemble, "run_member", fake)
-    cfg = RunConfig(N=8, m=4, t=1, k=2, xi_sq_target=0.5, members=8, workers=2)
+    cfg = RunConfig(N=8, m=4, t=1, k=2, xi_sq=0.5, members=8, workers=2)
     with pytest.raises(RuntimeError, match="member 4"):
         run_ensemble(cfg)
     assert len([member for member in ran if member < 4]) <= 2, ran
@@ -229,7 +229,7 @@ def test_a_value_error_in_a_member_stops_the_run(monkeypatch, workers):
         return build(cfg, member, arena)
 
     monkeypatch.setattr(ensemble, "_member_hamiltonian", fake)
-    cfg = RunConfig(N=8, m=4, t=1, k=2, xi_sq_target=0.5, members=8, workers=workers)
+    cfg = RunConfig(N=8, m=4, t=1, k=2, xi_sq=0.5, members=8, workers=workers)
     with pytest.raises(ValueError, match="forced bug in member 5"):
         run_ensemble(cfg)
 
@@ -243,7 +243,7 @@ def test_members_failing_the_overlap_check_are_failures(monkeypatch):
         return w, u
 
     monkeypatch.setattr(ensemble.spectral, "diagonalize", off_by_a_tenth)
-    cfg = RunConfig(N=8, m=4, t=1, k=2, xi_sq_target=0.5, members=4, workers=2)
+    cfg = RunConfig(N=8, m=4, t=1, k=2, xi_sq=0.5, members=4, workers=2)
     result = run_ensemble(cfg)
     assert [member for member, _ in result.failures] == [0, 1, 2, 3]
     for _, message in result.failures:
@@ -268,7 +268,7 @@ def test_sums_do_not_depend_on_the_callers_blas_threads():
     if setter is None or getter is None:
         pytest.skip("numpy's OpenBLAS has no scipy_openblas thread getter or setter")
     setter.argtypes = [ctypes.c_int]
-    cfg = RunConfig(N=12, m=6, t=1, k=2, xi_sq_target=0.5, members=2, seed=9, with_moments=True)
+    cfg = RunConfig(N=12, m=6, t=1, k=2, xi_sq=0.5, members=2, seed=9, moments=True)
     threads = getter()
     try:
         setter(1)
@@ -288,7 +288,7 @@ def test_threads_building_the_tables_at_once_give_the_one_worker_sums():
     # more threads than cores, switching every microsecond, each building the
     # process's cached bases and tables from cold: one lost or torn table
     # would change the sums
-    cfg = RunConfig(N=8, m=4, t=1, k=3, xi_sq_target=0.5, members=8, with_moments=True,
+    cfg = RunConfig(N=8, m=4, t=1, k=3, xi_sq=0.5, members=8, moments=True,
                     workers=1)
     serial = run_ensemble(cfg)
     interval = sys.getswitchinterval()
@@ -308,7 +308,7 @@ def test_threads_building_the_tables_at_once_give_the_one_worker_sums():
 _NO_CHILD_SCRIPT = """
 import resource, sys
 from qstrength import ensemble
-cfg = ensemble.RunConfig(N=8, m=4, t=1, k=2, xi_sq_target=0.5, members=4, workers=2)
+cfg = ensemble.RunConfig(N=8, m=4, t=1, k=2, xi_sq=0.5, members=4, workers=2)
 assert not ensemble.run_ensemble(cfg).failures
 print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
       *sorted({"multiprocessing", "concurrent.futures"} & set(sys.modules)))
@@ -328,7 +328,7 @@ def test_pool_without_a_blas_setter_says_so(monkeypatch, capsys, gone):
     lookup = spectral.openblas_symbol  # the LAPACK steps still resolve: only the pinning is gone
     monkeypatch.setattr(spectral, "openblas_symbol",
                         lambda name: None if name == gone else lookup(name))
-    cfg = RunConfig(N=8, m=4, t=1, k=2, xi_sq_target=0.5, members=2, workers=2)
+    cfg = RunConfig(N=8, m=4, t=1, k=2, xi_sq=0.5, members=2, workers=2)
     result = run_ensemble(cfg)
     assert not result.failures and result.strength.member_count == 2
     err = capsys.readouterr().err
@@ -351,7 +351,7 @@ def test_member_working_set_is_three_dense_matrices(system):
     # 3.16 d^2.  A warm member allocates nothing d x d: measured 0.03 d^2 at
     # d = 924 and 0.13-0.15 d^2 at d = 252, all of it O(d).
     N, m, t, k = system
-    cfg = RunConfig(N=N, m=m, t=t, k=k, xi_sq_target=0.5, members=2, with_moments=True)
+    cfg = RunConfig(N=N, m=m, t=t, k=k, xi_sq=0.5, members=2, moments=True)
     d = fock.build_basis(cfg.N, cfg.m).dim
     run_member(cfg, 0, ensemble._member_arena(cfg))  # builds the cached plans outside the trace
     peaks, arena = [], None
@@ -374,7 +374,7 @@ def test_member_working_set_is_three_dense_matrices(system):
 def test_one_block_runs_on_one_arena(monkeypatch, workers):
     calls, arena = [], ensemble._member_arena
     monkeypatch.setattr(ensemble, "_member_arena", lambda cfg: calls.append(cfg) or arena(cfg))
-    cfg = RunConfig(N=8, m=4, t=1, k=2, xi_sq_target=0.5, members=4, workers=workers)
+    cfg = RunConfig(N=8, m=4, t=1, k=2, xi_sq=0.5, members=4, workers=workers)
     assert not run_ensemble(cfg).failures
     assert calls == [cfg] * min(workers, cfg.members)
 
@@ -383,7 +383,7 @@ def test_one_block_runs_on_one_arena(monkeypatch, workers):
 def test_run_ensemble_leaves_no_arena_in_the_caller(workers):
     # a member arena is 3 d^2 doubles; what the result holds is O(d) and the
     # bins, and the pool's threads allocate their arenas in the caller too
-    cfg = RunConfig(N=10, m=5, t=1, k=2, xi_sq_target=0.5, members=3, workers=workers)
+    cfg = RunConfig(N=10, m=5, t=1, k=2, xi_sq=0.5, members=3, workers=workers)
     d = fock.build_basis(cfg.N, cfg.m).dim
     assert not run_ensemble(cfg).failures  # builds the cached bases and tables
     tracemalloc.start()
@@ -398,8 +398,8 @@ def test_run_ensemble_leaves_no_arena_in_the_caller(workers):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sums_do_not_depend_on_the_trim_before_either_path(monkeypatch, workers):
-    cfg = RunConfig(N=8, m=4, t=1, k=2, xi_sq_target=0.5, members=4, workers=workers,
-                    with_moments=True)
+    cfg = RunConfig(N=8, m=4, t=1, k=2, xi_sq=0.5, members=4, workers=workers,
+                    moments=True)
     calls, trim = [], ensemble._malloc_trim()
 
     def spy(pad):

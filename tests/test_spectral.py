@@ -95,10 +95,10 @@ def _member_h(**system) -> np.ndarray:
 # t = 1 H scaled into dsyevd's scaling branch from below and from above (which
 # eigh solves), the diagonal H at lam = 0, and d = 1 and 2.
 _EIGH_CASES = {
-    "member-12-6-1-2": lambda: _member_h(N=12, m=6, t=1, k=2, xi_sq_target=0.5),
+    "member-12-6-1-2": lambda: _member_h(N=12, m=6, t=1, k=2, xi_sq=0.5),
     "member-12-6-1-2-x1e-150": lambda: _EIGH_CASES["member-12-6-1-2"]() * 1e-150,
     "member-12-6-1-2-x1e150": lambda: _EIGH_CASES["member-12-6-1-2"]() * 1e150,
-    "rotated-8-4-2-3": lambda: _member_h(N=8, m=4, t=2, k=3, xi_sq_target=0.5),
+    "rotated-8-4-2-3": lambda: _member_h(N=8, m=4, t=2, k=3, xi_sq=0.5),
     "lambda-0": lambda: _member_h(N=8, m=4, t=1, k=2, lam=0.0),
     "d-1": lambda: np.array([[0.75]]),
     "d-2": lambda: np.array([[0.5, -1.25], [-1.25, 2.0]]),

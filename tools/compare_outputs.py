@@ -2,11 +2,11 @@
 
     python tools/compare_outputs.py PARENT_ROOT CHANGE_ROOT
 
-Each command runs in a new empty directory with PYTHONPATH=<root>/src and
-OPENBLAS_NUM_THREADS=1.  The files it leaves there, its stdout, its stderr
-and its exit code must be identical between the two roots; only
-`wrote <path>` lines are ignored.  Prints one line per command and exits 1 on
-any difference.
+Each command runs in a new directory that holds only RUN_CFG's run.cfg, with
+PYTHONPATH=<root>/src and OPENBLAS_NUM_THREADS=1.  The files it leaves there,
+its stdout, its stderr and its exit code must be identical between the two
+roots; only `wrote <path>` lines are ignored.  Prints one line per command
+and exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -16,6 +16,22 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+
+# every simulate setting but workers, as the --config file the *-config commands read
+RUN_CFG = """\
+N = 9
+m = 4
+t = 1
+k = 2
+xi_sq = 0.5
+windows = -1,0,1
+grid = -3:3:24
+members = 8
+seed = 11
+window_width = 0.3
+moments = yes
+"""
 
 
 def _system(N: int, m: int, t: int, k: int) -> list[str]:
@@ -31,6 +47,8 @@ def commands() -> dict[str, list[str]]:
     # params reads --windows and npc --grid, each only its own
     for cmd, flag in (("params", "--windows=-1.5,0,1.5"), ("npc", "--grid=-2.5:2.5:21")):
         cmds[f"{cmd}-12-6-1-2-windows-grid"] = [cmd, *_system(12, 6, 1, 2), "--xi-sq", "0.5", flag]
+    for cmd in ("params", "npc"):
+        cmds[f"{cmd}-config"] = [cmd, "--config", "run.cfg"]
     cmds["qnormal"] = ["qnormal", "--q", "0.5"]
     cmds["qnormal-conditional"] = ["qnormal", "--q", "0.5", "--y", "0.9", "--xi", "0.7"]
     cmds["qnormal-grid"] = ["qnormal", "--q", "0.3", "--grid=-2:2:17"]
@@ -45,6 +63,9 @@ def commands() -> dict[str, list[str]]:
         for workers in (1, 2, 3):
             cmds[f"simulate-{'-'.join(map(str, system))}-w{workers}"] = [
                 "simulate", *_system(*system), *extra, "--check", "--workers", str(workers)]
+    for workers in (1, 2, 3):
+        cmds[f"simulate-config-w{workers}"] = [
+            "simulate", "--config", "run.cfg", "--check", "--workers", str(workers)]
     return cmds
 
 
@@ -54,7 +75,8 @@ def _without_wrote(text: bytes) -> bytes:
 
 
 def run(root: Path, args: list[str], cwd: Path) -> dict[str, bytes]:
-    """{output name: bytes} of one command run on root's source in the empty cwd."""
+    """{output name: bytes} of one command run on root's source in the empty cwd, given run.cfg."""
+    (cwd / "run.cfg").write_text(RUN_CFG)
     env = os.environ | {"PYTHONPATH": str(root.resolve() / "src"), "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-m", "qstrength.cli", *args], cwd=cwd, env=env,
                           capture_output=True)
