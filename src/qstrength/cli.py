@@ -262,21 +262,21 @@ def _run_config(args) -> ensemble.RunConfig:
         raise SystemExit(f"bad simulate config: {exc}")
 
 
-def _strength_table(rep: spectral.StrengthReport, qs: bca.QParameterSet) -> dict:
-    """One row per (window, bin), windows outermost."""
+def _strength_table(rep: spectral.StrengthReport, f_emp, f_pred) -> dict:
+    """One row per (window, bin), windows outermost, of the (windows x bins) densities."""
     bins, windows = len(rep.bin_centers), len(rep.window_centers)
     return {
         "window_center": np.repeat(rep.window_centers, bins),
         "e0_mean": np.repeat(rep.e0_mean, bins),
         "x": np.tile(rep.bin_centers, windows),
-        "f_empirical": rep.f_values().ravel(),
-        "f_predicted": spectral.predicted_f_values(rep, qs).ravel(),
+        "f_empirical": f_emp.ravel(),
+        "f_predicted": f_pred.ravel(),
     }
 
 
-def _moment_table(rep: spectral.StrengthReport, qs: bca.QParameterSet, m, t, k) -> dict:
+def _moment_table(rep: spectral.StrengthReport, system: bca.SystemParams, f_emp, f_pred) -> dict:
     mom = rep.window_moments()
-    pred = spectral.window_predictions(rep, qs, m, t, k)
+    pred = spectral.window_predictions(rep, system.qs_finite, system.m, system.t, system.k)
     return {
         "window_center": rep.window_centers, "e0_mean": mom["e0_mean"],
         "n_kappa": mom["n_kappa"].astype(int), "weight": mom["weight"],
@@ -284,7 +284,7 @@ def _moment_table(rep: spectral.StrengthReport, qs: bca.QParameterSet, m, t, k) 
         "variance": mom["variance"], "variance_pred": pred["variance"],
         "gamma1": mom["gamma1"], "gamma1_pred": pred["gamma1"],
         "gamma2": mom["gamma2"], "gamma2_pred": pred["gamma2"],
-        "l1_distance": spectral.strength_l1(rep, qs),
+        "l1_distance": spectral.strength_l1(f_emp, f_pred, rep.edges),
     }
 
 
@@ -316,8 +316,9 @@ def cmd_simulate(args) -> int:
                     "npc_analytic": npc_curve},
     }
     if qs is not None:
-        tables["strength_functions.csv"] = _strength_table(rep, qs)
-        tables["moments.csv"] = _moment_table(rep, qs, run_cfg.m, run_cfg.t, run_cfg.k)
+        f_emp, f_pred = rep.f_values(), spectral.predicted_f_values(rep, qs)
+        tables["strength_functions.csv"] = _strength_table(rep, f_emp, f_pred)
+        tables["moments.csv"] = _moment_table(rep, result.system, f_emp, f_pred)
     if result.moments is not None:
         tables["bivariate.csv"] = _key_values(result.moments.finalize())
     _write_tables(out_dir, meta, tables)

@@ -97,6 +97,10 @@ class RunConfig:
     moments: bool = False
 
     def __post_init__(self) -> None:
+        lo, hi, bins = self.grid
+        if any(isinstance(n, bool) or not isinstance(n, (int, np.integer))
+               for n in (self.members, self.seed, self.workers, bins)):
+            raise ValueError("members, seed, workers and the grid's bins must be integers")
         if self.members < 1:
             raise ValueError("members must be >= 1")
         if self.seed < 0:
@@ -105,7 +109,6 @@ class RunConfig:
             raise ValueError("windows must be a non-empty list of finite numbers")
         if not 0 < self.window_width < np.inf:
             raise ValueError("window_width must be positive and finite")
-        lo, hi, bins = self.grid
         if not -np.inf < lo < hi < np.inf or bins < 1:
             raise ValueError("grid must be (lo, hi, bins) with finite lo < hi and bins >= 1")
         if self.workers < 1:
@@ -334,10 +337,10 @@ def run_ensemble(cfg: RunConfig) -> EnsembleResult:
 def run_checks(result: EnsembleResult, tables: dict) -> list[tuple[str, bool, str]]:
     """Tolerance checks mirroring the package's acceptance gates, as (name, passed, detail).
 
-    They judge tables, the {file name: {column: values}} mapping a run writes: at
-    lam = 0 npc.csv's npc_mc and s_info_mc, else moments.csv's e0_mean, variance,
-    gamma1, gamma1_pred, gamma2, gamma2_pred and l1_distance (finite-N predictions,
-    so any config with 0 < xi < 1); the centroid slope is fitted to result.strength.
+    Every gate but members-completed judges tables, the {file name: {column: values}}
+    mapping a run writes: at lam = 0 npc.csv's npc_mc and s_info_mc, else moments.csv's
+    e0_mean, weight, centroid, variance, gamma1, gamma1_pred, gamma2, gamma2_pred and
+    l1_distance (finite-N predictions, so any config with 0 < xi < 1).
     """
     checks = [("members-completed", not result.failures,
                f"{result.config.members - len(result.failures)}/{result.config.members}")]
@@ -351,7 +354,7 @@ def run_checks(result: EnsembleResult, tables: dict) -> list[tuple[str, bool, st
     e0 = mom["e0_mean"]
 
     try:
-        slope = spectral.centroid_slope(result.strength, e0_max=2.0)
+        slope = spectral.centroid_slope(e0, mom["centroid"], mom["weight"], e0_max=2.0)
         checks.append(("centroid-slope", abs(slope - qs.xi) <= 0.03 * qs.xi,
                        f"slope={slope:.4f} xi={qs.xi:.4f}"))
     except ValueError as exc:

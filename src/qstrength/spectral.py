@@ -418,14 +418,13 @@ def predicted_f_values(report: StrengthReport, qs: QParameterSet) -> np.ndarray:
     return out
 
 
-def strength_l1(report: StrengthReport, qs: QParameterSet) -> np.ndarray:
-    """L1 distance per window between binned strength and the conditional q-normal.
+def strength_l1(f_emp: np.ndarray, f_pred: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """L1 distance per window between two (windows x bins) densities on the bins of edges.
 
-    The benchmark density is evaluated at the bin centers, so this measures both
-    statistical noise and binning resolution.
+    Of f_values() and predicted_f_values(), whose benchmark density is taken at
+    the bin centers, it measures both statistical noise and binning resolution.
     """
-    f_emp, bench = report.f_values(), predicted_f_values(report, qs)
-    return np.sum(np.abs(f_emp - bench) * np.diff(report.edges), axis=1)
+    return np.sum(np.abs(f_emp - f_pred) * np.diff(edges), axis=1)
 
 
 # On the unit-width axis a centred window's e0_mean is summation rounding, at
@@ -433,14 +432,13 @@ def strength_l1(report: StrengthReport, qs: QParameterSet) -> np.ndarray:
 _CENTER_E0 = 1e-9
 
 
-def centroid_slope(report: StrengthReport, e0_max: float | None = None) -> float:
-    """Weighted through-origin slope of window centroids against launch energy.
+def centroid_slope(e0, mean, w, e0_max: float | None = None) -> float:
+    """Through-origin slope of window centroids mean against launch energies e0, weighted by w.
 
-    Raises ValueError unless some window's launch energy is off centre, beyond
-    the rounding of a centred window's mean.
+    The per-window arrays are as window_moments()' e0_mean, mean and weight.  Raises
+    ValueError unless some window kept (finite, |e0| <= e0_max) has its launch energy
+    off centre, beyond the rounding of a centred window's mean.
     """
-    mom = report.window_moments()
-    e0, mean, w = mom["e0_mean"], mom["mean"], mom["weight"]
     keep = np.isfinite(e0) & np.isfinite(mean)
     if e0_max is not None:
         keep &= np.abs(e0) <= e0_max

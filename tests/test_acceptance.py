@@ -181,7 +181,8 @@ def test_05_conditional_moment_identity():
 
 def test_06a_centroid_slope(run_k2):
     xi = run_k2.system.qs_finite.xi
-    slope = spectral.centroid_slope(run_k2.strength, e0_max=2.0)
+    mom = run_k2.strength.window_moments()
+    slope = spectral.centroid_slope(mom["e0_mean"], mom["mean"], mom["weight"], e0_max=2.0)
     dev = abs(slope - xi) / xi
     gate("06a centroid slope", dev <= 0.03,
          f"slope {slope:.4f} vs xi {xi:.4f}, rel dev {dev:.4f} (tol 0.03)")
@@ -276,7 +277,9 @@ def test_08_bivariate_moment_asymmetry(run_k4):
 def test_09_overlay_distance(run_k2, run_k4, run_k6):
     worst = {}
     for label, res in (("k=2", run_k2), ("k=4", run_k4), ("k=6", run_k6)):
-        l1 = spectral.strength_l1(res.strength, res.system.qs_finite)
+        rep = res.strength
+        l1 = spectral.strength_l1(rep.f_values(),
+                                  spectral.predicted_f_values(rep, res.system.qs_finite), rep.edges)
         wc = res.strength.window_centers
         sel = np.isclose(wc, -1.0) | np.isclose(wc, 0.0) | np.isclose(wc, 1.0)
         worst[label] = float(np.nanmax(l1[sel]))

@@ -699,20 +699,38 @@ def test_check_judges_the_moment_table_it_writes(tmp_path, monkeypatch):
 
 
 def test_check_derives_predictions_and_l1_once(tmp_path, monkeypatch):
-    calls = {"window_predictions": 0, "strength_l1": 0}
+    calls = {"window_predictions": 0, "strength_l1": 0, "predicted_f_values": 0,
+             "window_moments": 0}
 
-    def counted(name):
-        fn = getattr(spectral, name)
+    def counted(owner, name):
+        fn = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
-        return wrapper
+        monkeypatch.setattr(owner, name, wrapper)
 
-    for name in calls:
-        monkeypatch.setattr(spectral, name, counted(name))
+    for name in ("window_predictions", "strength_l1", "predicted_f_values"):
+        counted(spectral, name)
+    counted(spectral.StrengthReport, "window_moments")
     run_cli(["simulate", *SMALL_SYSTEM, "--members", "2", "--check", "--out", str(tmp_path)])
-    assert calls == {"window_predictions": 1, "strength_l1": 1}
+    assert calls == {"window_predictions": 1, "strength_l1": 1, "predicted_f_values": 1,
+                     "window_moments": 1}
+
+
+def test_check_fits_the_centroid_column_it_writes(tmp_path, monkeypatch):
+    # a moments.csv whose centroids lie on xi * e0_mean gives the slope xi exactly
+    xi = bca.resolve_system(8, 4, 1, 2, None, 0.5).qs_finite.xi
+    moment_table = cli._moment_table
+
+    def centroid_on_the_line(*args):
+        table = moment_table(*args)
+        return table | {"centroid": xi * table["e0_mean"]}
+
+    monkeypatch.setattr(cli, "_moment_table", centroid_on_the_line)
+    _, out, _ = run_cli(["simulate", *SMALL_SYSTEM, "--members", "4", "--seed", "7",
+                         "--check", "--out", str(tmp_path)])
+    assert f"PASS  centroid-slope: slope={xi:.4f} xi={xi:.4f}" in out
 
 
 def test_centre_window_alone_is_not_an_off_center_window(tmp_path):

@@ -412,3 +412,22 @@ def test_sums_do_not_depend_on_the_trim_before_either_path(monkeypatch, workers)
     untrimmed = run_ensemble(cfg)
     assert calls == [0] and not trimmed.failures and not untrimmed.failures
     assert_same_sums(trimmed, untrimmed)
+
+
+@pytest.mark.parametrize("bad", [{"members": 1.5}, {"seed": 1.5}, {"workers": 1.5},
+                                 {"members": True}, {"seed": False}, {"workers": True},
+                                 {"members": np.bool_(True)}, {"grid": (-1.0, 1.0, 2.5)},
+                                 {"grid": (-1.0, 1.0, True)}],
+                         ids=["members-float", "seed-float", "workers-float", "members-bool",
+                              "seed-bool", "workers-bool", "members-numpy-bool", "bins-float",
+                              "bins-bool"])
+def test_run_config_rejects_counts_that_are_not_integers(bad):
+    # each was accepted at construction and then died in run_ensemble (or ran one member)
+    with pytest.raises(ValueError, match="^members, seed, workers and the grid's bins must be"):
+        RunConfig(N=8, m=4, t=1, k=2, xi_sq=0.5, **bad)
+
+
+def test_run_config_takes_numpy_integer_counts():
+    cfg = RunConfig(N=8, m=4, t=1, k=2, xi_sq=0.5, members=np.int64(2), seed=np.int32(3),
+                    workers=np.int64(1), grid=(-3.0, 3.0, np.int64(8)))
+    assert run_ensemble(cfg).strength.member_count == 2

@@ -379,14 +379,17 @@ class TestStrengthReport:
         e1 = 0.7 * centers  # exact strength centroids at slope 0.7
         wsq = np.eye(5)
         rep.add_member(e0, e1, wsq)
-        assert centroid_slope(rep) == pytest.approx(0.7, rel=1e-12)
-        assert centroid_slope(rep, e0_max=1.5) == pytest.approx(0.7, rel=1e-12)
+        mom = rep.window_moments()
+        columns = mom["e0_mean"], mom["mean"], mom["weight"]
+        assert centroid_slope(*columns) == pytest.approx(0.7, rel=1e-12)
+        assert centroid_slope(*columns, e0_max=1.5) == pytest.approx(0.7, rel=1e-12)
 
     def test_centroid_slope_needs_off_center_windows(self):
         rep = StrengthReport(np.array([[-0.5, 0.5]]), EDGES)
         rep.add_member(*_toy_member(1))
+        mom = rep.window_moments()
         with pytest.raises(ValueError, match="off-center"):
-            centroid_slope(rep, e0_max=0.0)
+            centroid_slope(mom["e0_mean"], mom["mean"], mom["weight"], e0_max=0.0)
 
 
 class TestPredictionHelpers:
@@ -414,7 +417,7 @@ class TestPredictionHelpers:
         dens = f_cqn(centers_x, 0.0, self.qs.xi, self.qs.q_hv)
         weights = dens * np.diff(edges)
         rep.add_member(np.zeros(1), centers_x, weights.reshape(1, -1))
-        l1 = strength_l1(rep, self.qs)
+        l1 = strength_l1(rep.f_values(), predicted_f_values(rep, self.qs), edges)
         assert l1[0] < 5e-3
 
     def test_strength_l1_matches_the_per_window_sums(self):
@@ -423,7 +426,7 @@ class TestPredictionHelpers:
         rep.add_member(*_toy_member(2))
         f_emp, bench = rep.f_values(), predicted_f_values(rep, self.qs)
         want = [float(np.sum(np.abs(f_emp[i] - bench[i]) * np.diff(EDGES))) for i in range(2)]
-        np.testing.assert_array_equal(strength_l1(rep, self.qs), want + [np.nan])
+        np.testing.assert_array_equal(strength_l1(f_emp, bench, EDGES), want + [np.nan])
 
     def test_strength_l1_detects_wrong_shape(self):
         edges = np.linspace(-3.2, 3.2, 321)
@@ -431,7 +434,7 @@ class TestPredictionHelpers:
         centers_x = 0.5 * (edges[:-1] + edges[1:])
         wrong = np.exp(-0.5 * (centers_x / 0.3) ** 2)  # far too narrow
         rep.add_member(np.zeros(1), centers_x, (wrong / wrong.sum()).reshape(1, -1))
-        assert strength_l1(rep, self.qs)[0] > 0.5
+        assert strength_l1(rep.f_values(), predicted_f_values(rep, self.qs), edges)[0] > 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,7 @@ def commands() -> dict[str, list[str]]:
     cmds["qnormal"] = ["qnormal", "--q", "0.5"]
     cmds["qnormal-conditional"] = ["qnormal", "--q", "0.5", "--y", "0.9", "--xi", "0.7"]
     cmds["qnormal-grid"] = ["qnormal", "--q", "0.3", "--grid=-2:2:17"]
+    simulate = {}
     for system, extra in (((12, 6, 1, 2), ["--xi-sq", "0.5", "--members", "8"]),
                           ((12, 6, 1, 4), ["--xi-sq", "0.5", "--members", "12", "--moments"]),
                           ((10, 5, 2, 3), ["--xi-sq", "0.5", "--members", "8", "--moments"]),
@@ -60,12 +61,15 @@ def commands() -> dict[str, list[str]]:
                                            "--window-width", "0.3", "--grid=-3:3:24"]),
                           # enough members that the window gates print PASS lines too
                           ((10, 5, 1, 2), ["--xi-sq", "0.5", "--members", "200"])):
+        simulate["-".join(map(str, system))] = [*_system(*system), *extra]
+    # the centre window alone: no off-center window to fit a slope to, no |e0| band filled
+    simulate["10-5-1-2-centre-window"] = [*_system(10, 5, 1, 2), "--xi-sq", "0.5",
+                                          "--members", "8", "--windows=0"]
+    simulate["config"] = ["--config", "run.cfg"]
+    for name, args in simulate.items():
         for workers in (1, 2, 3):
-            cmds[f"simulate-{'-'.join(map(str, system))}-w{workers}"] = [
-                "simulate", *_system(*system), *extra, "--check", "--workers", str(workers)]
-    for workers in (1, 2, 3):
-        cmds[f"simulate-config-w{workers}"] = [
-            "simulate", "--config", "run.cfg", "--check", "--workers", str(workers)]
+            cmds[f"simulate-{name}-w{workers}"] = [
+                "simulate", *args, "--check", "--workers", str(workers)]
     return cmds
 
 
